@@ -27,13 +27,6 @@ from repro.batch.adapter import (
     simulate,
 )
 from repro.batch.engine import BatchEngine
-from repro.batch.kernels import (
-    KERNEL_NAMES,
-    available_kernels,
-    numba_available,
-    resolve_kernel,
-    use_kernel,
-)
 from repro.batch.layout import (
     BatchCompiler,
     CompiledBatch,
@@ -52,15 +45,10 @@ __all__ = [
     "CompiledBatch",
     "CompiledRun",
     "CompiledStructure",
-    "KERNEL_NAMES",
-    "available_kernels",
     "compile_batch",
     "compile_run",
     "compile_structure",
     "materialize_result",
-    "numba_available",
-    "resolve_kernel",
     "run_batch",
     "simulate",
-    "use_kernel",
 ]

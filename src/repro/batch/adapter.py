@@ -140,7 +140,6 @@ def run_batch(
     *,
     compiler: BatchCompiler | None = None,
     materialize: bool = True,
-    kernel: str | None = None,
     emit: "Emit | None" = None,
 ) -> BatchOutcome:
     """Simulate every ``(graph, P)`` run in one vectorized pass.
@@ -154,12 +153,7 @@ def run_batch(
     throughput benchmarks use, and the right choice whenever only
     aggregate statistics of a sweep are needed.
 
-    ``kernel`` pins a compute kernel (``"numpy"``/``"numba"``/
-    ``"python"``); by default resolution follows
-    :func:`repro.batch.kernels.resolve_kernel` (ambient selection, then
-    ``REPRO_BATCH_KERNEL``, then auto).  All kernels are bit-identical.
-
-    ``emit`` enables trace capture: after the kernels drain, every run's
+    ``emit`` enables trace capture: after the kernel drains, every run's
     event stream is reconstructed (:mod:`repro.batch.trace`) and replayed
     through the callable, run by run in input order — digest-identical to
     tracing each run on the reference engine.
@@ -168,7 +162,7 @@ def run_batch(
     if emit is not None:
         for run in compiled.runs:  # repro-lint: disable=RL008 -- per-run trace guard
             check_traceable(run)
-    engine = BatchEngine(compiled, kernel=kernel).run()
+    engine = BatchEngine(compiled).run()
     if emit is not None:
         for b in range(engine.B):  # repro-lint: disable=RL008 -- per-run trace replay
             emit_run_trace(engine, b, emit)

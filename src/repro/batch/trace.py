@@ -3,8 +3,8 @@
 # one-object-per-step stream, off the schedule-computing fast path.
 """Post-hoc event-stream reconstruction for traced batch runs.
 
-The batch kernels never emit events — that is what makes them fast.  But
-their result arrays (``reveal_seq``/``reveal_t``/``start_seq``/
+The batch kernel never emits events — that is what makes it fast.  But
+its result arrays (``reveal_seq``/``reveal_t``/``start_seq``/
 ``start_t``/``end_t``) pin down *exactly* the interleaving the reference
 engine's loop would have walked, because both engines are bit-identical
 on those arrays (the golden-digest suite proves it).  This module replays
@@ -151,7 +151,7 @@ def emit_run_trace(engine: "BatchEngine", b: int, emit: Emit) -> None:
     cache, alpha, beta = _per_task_explanations(run, reveal_order)
 
     # Bucket columns by instant once (dict keys are exact float64
-    # values, the same bits the kernels computed and the reference
+    # values, the same bits the kernel computed and the reference
     # engine's heap would carry).
     rev_at: dict[float, list[int]] = {}
     for c in reveal_order.tolist():

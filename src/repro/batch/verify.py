@@ -20,13 +20,7 @@ three ways:
   scalar ``allocate_cached`` oracle across every speedup-model family —
   Equation (1) lanes and scalar-fallback lanes alike.
 
-Since the kernel tier (:mod:`repro.batch.kernels`), the backend checks
-run under **every requested kernel**: by default each available tier
-(``numpy``, plus ``numba`` when installed), overridable with
-``--kernels numpy,python``.  A kernel selection must never change a
-digit.
-
-Run it as a module (CI's perf-smoke and kernel-parity jobs do)::
+Run it as a module (CI's perf-smoke job does)::
 
     python -m repro.batch.verify --trials 25 [--golden tests/perf/golden_digests.json]
 
@@ -44,7 +38,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.batch.kernels import available_kernels, resolve_kernel, use_kernel
 from repro.sim.backend import use_backend
 
 __all__ = [
@@ -266,10 +259,12 @@ def verify_allocation(trials: int = 60, seed: int = 0) -> list[Mismatch]:
     return mismatches
 
 
-def _tag_kernel(found: list[Mismatch], kernel: str) -> list[Mismatch]:
-    return [
-        Mismatch(m.check, f"{m.subject} [kernel={kernel}]", m.detail) for m in found
-    ]
+def _trial_count(text: str) -> int:
+    """argparse ``type``: a non-negative trial count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -284,59 +279,34 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="also pin batch digests to this golden_digests.json",
     )
     parser.add_argument(
-        "--trials", type=int, default=25, help="randomized sweep size (default 25)"
+        "--trials",
+        type=_trial_count,
+        default=25,
+        help="randomized sweep size (default 25)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="randomized sweep seed (default 0)"
     )
     parser.add_argument(
-        "--kernels",
-        default=None,
-        help="comma-separated kernels to verify under (default: every "
-        "available tier — numpy, plus numba when installed)",
-    )
-    parser.add_argument(
         "--alloc-trials",
-        type=int,
+        type=_trial_count,
         default=60,
         help="allocation-parity sweep size (default 60; 0 skips)",
     )
     args = parser.parse_args(argv)
 
-    if args.kernels is not None:
-        kernels = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
-    else:
-        # The uncompiled loop tier is exercised by the test suite; module
-        # runs default to the production tiers.
-        kernels = tuple(k for k in available_kernels() if k != "python")
-
-    mismatches: list[Mismatch] = []
-    for kernel in kernels:
-        resolved = resolve_kernel(kernel)
-        if resolved != kernel:
-            print(f"kernel {kernel!r}: unavailable, resolves to {resolved!r}")
-        with use_kernel(kernel):
-            before = len(mismatches)
-            mismatches += _tag_kernel(verify_registry(), kernel)
-            print(
-                f"[kernel={kernel}] registry replay: "
-                f"{len(mismatches) - before} mismatches"
-            )
-            if args.golden is not None:
-                before = len(mismatches)
-                mismatches += _tag_kernel(verify_golden(args.golden), kernel)
-                print(
-                    f"[kernel={kernel}] golden pinning: "
-                    f"{len(mismatches) - before} mismatches"
-                )
-            before = len(mismatches)
-            mismatches += _tag_kernel(
-                verify_random(trials=args.trials, seed=args.seed), kernel
-            )
-            print(
-                f"[kernel={kernel}] randomized sweep ({args.trials} trials): "
-                f"{len(mismatches) - before} mismatches"
-            )
+    mismatches = verify_registry()
+    print(f"registry replay: {len(mismatches)} mismatches")
+    if args.golden is not None:
+        before = len(mismatches)
+        mismatches += verify_golden(args.golden)
+        print(f"golden pinning: {len(mismatches) - before} mismatches")
+    before = len(mismatches)
+    mismatches += verify_random(trials=args.trials, seed=args.seed)
+    print(
+        f"randomized sweep ({args.trials} trials): "
+        f"{len(mismatches) - before} mismatches"
+    )
     if args.alloc_trials > 0:
         before = len(mismatches)
         mismatches += verify_allocation(trials=args.alloc_trials, seed=args.seed)
@@ -350,8 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if mismatches:
         print(f"FAILED: {len(mismatches)} mismatches", file=sys.stderr)
         return 1
-    checked = ", ".join(kernels)
-    print(f"OK: batch backend is bit-identical on every check (kernels: {checked})")
+    print("OK: batch backend is bit-identical on every check")
     return 0
 
 

@@ -170,7 +170,7 @@ def lint_paths(
     """
     active = list(rules) if rules is not None else all_rules()
     semantic_active = list(semantic_rules) if semantic_rules is not None else None
-    file_sig = ruleset_signature([r.code for r in active])
+    file_sig = ruleset_signature(active)
 
     report = LintReport()
     sources: dict[str, str] = {}
@@ -213,7 +213,7 @@ def lint_paths(
         report.merge(file_report)
 
     if semantic_active is not None:
-        sem_sig = ruleset_signature([r.code for r in semantic_active])
+        sem_sig = ruleset_signature(semantic_active)
         fingerprint = AnalysisCache.project_fingerprint(sorted(digests.items()))
         replay_sem = (
             cache.get_semantic(fingerprint, sem_sig) if cache is not None else None

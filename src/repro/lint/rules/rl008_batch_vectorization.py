@@ -17,13 +17,6 @@ annotated with ``# repro-lint: disable=RL008`` (or ``disable-file`` for
 boundary).  Loops over *runs* or *blocks* (batch-axis bookkeeping, a
 few dozen iterations) are not flagged: the rule keys on per-task array
 names, not on iteration itself.
-
-One structural exemption: inside :mod:`repro.batch.kernels`, functions
-decorated ``@loop_kernel`` (or ``@numba.njit``) *are* the compiled loop
-tier — there, plain per-task loops are the vectorization strategy, not
-a regression, and the whole function body is exempt.  The exemption is
-keyed on both the decorator and the module, so a decorated function
-pasted into ``repro.batch.engine`` is still flagged.
 """
 
 from __future__ import annotations
@@ -48,42 +41,6 @@ _TASK_ARRAY_STEMS = (
     "demand",
     "queue",
 )
-
-#: The one module whose decorated loop bodies are exempt: the kernel tier.
-_KERNEL_MODULE = "repro.batch.kernels"
-
-#: Decorator names marking a per-run loop kernel (jit-compilable body).
-_KERNEL_DECORATORS = frozenset({"loop_kernel", "njit", "jit"})
-
-
-def _decorator_name(dec: ast.expr) -> str | None:
-    """Trailing identifier of a decorator (``numba.njit(...)`` -> ``njit``)."""
-    target = dec.func if isinstance(dec, ast.Call) else dec
-    if isinstance(target, ast.Name):
-        return target.id
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    return None
-
-
-def _exempt_loops(ctx: FileContext) -> frozenset[ast.AST]:
-    """``For`` nodes inside ``@loop_kernel``/``@njit`` bodies of kernels.py."""
-    if ctx.module != _KERNEL_MODULE:
-        return frozenset()
-    exempt: set[ast.AST] = set()
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not any(
-            _decorator_name(dec) in _KERNEL_DECORATORS
-            for dec in node.decorator_list
-        ):
-            continue
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.For, ast.AsyncFor)):
-                exempt.add(sub)
-    return frozenset(exempt)
-
 
 def _identifiers(expr: ast.expr) -> Iterator[str]:
     """Every plain identifier mentioned anywhere in ``expr``."""
@@ -121,11 +78,8 @@ class BatchVectorizationRule(Rule):
         return ctx.in_package("repro.batch")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        exempt = _exempt_loops(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            if node in exempt:
                 continue
             if _is_range_len(node.iter):
                 yield self.finding(

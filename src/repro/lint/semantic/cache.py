@@ -2,7 +2,9 @@
 
 Cold runs parse and analyze everything; warm runs hash each file
 (sha256 of the raw bytes — microseconds per file) and replay cached
-results for files whose content and active ruleset are unchanged.
+results for files whose content and active ruleset are unchanged.  The
+ruleset signature covers each rule's code *and* the source of the module
+defining it, so editing a rule invalidates every result it produced.
 Whole-program results are keyed on a *project fingerprint* — the hash of
 every ``(path, content-hash)`` pair plus the semantic ruleset — so any
 single-file edit invalidates exactly the semantic entry and that file's
@@ -17,18 +19,24 @@ only how fast.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Protocol
 
 from repro.lint.findings import Finding
 
-__all__ = ["AnalysisCache", "content_hash", "ruleset_signature"]
+__all__ = ["AnalysisCache", "content_hash", "rule_source_hash", "ruleset_signature"]
 
-#: Bump when the cached payload layout (or any rule's semantics outside
-#: its code/description) changes incompatibly.
+#: Bump when the cached payload layout changes incompatibly.  Rule edits
+#: need no bump: :func:`ruleset_signature` hashes each rule's source.
 CACHE_SCHEMA_VERSION = 1
+
+
+class _CodedRule(Protocol):
+    @property
+    def code(self) -> str: ...
 
 
 def content_hash(source: str) -> str:
@@ -36,9 +44,19 @@ def content_hash(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def ruleset_signature(codes: list[str]) -> str:
-    """Signature of the active ruleset (order-insensitive)."""
-    payload = f"v{CACHE_SCHEMA_VERSION}:" + ",".join(sorted(codes))
+def rule_source_hash(rule: object) -> str:
+    """Hash of the source file defining ``rule``'s class ("" if it has none)."""
+    try:
+        source = Path(inspect.getfile(type(rule))).read_bytes()
+    except (OSError, TypeError):
+        return ""
+    return hashlib.sha256(source).hexdigest()
+
+
+def ruleset_signature(rules: Iterable[_CodedRule]) -> str:
+    """Signature of the active ruleset: codes plus rule sources, order-insensitive."""
+    parts = sorted(f"{rule.code}={rule_source_hash(rule)}" for rule in rules)
+    payload = f"v{CACHE_SCHEMA_VERSION}:" + ",".join(parts)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

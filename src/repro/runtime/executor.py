@@ -28,13 +28,11 @@ import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.batch.kernels import resolve_kernel, use_kernel
 from repro.exceptions import (
     ExperimentFailedError,
     InvalidParameterError,
@@ -111,7 +109,6 @@ def _execute(
     kwargs: dict[str, Any],
     clock: Callable[[], float] = time.time,
     backend: str = "reference",
-    kernel: str | None = None,
 ) -> dict[str, Any]:
     """Worker entry point: run one experiment, return its report as JSON.
 
@@ -131,13 +128,8 @@ def _execute(
     try:
         # The backend selection is ambient (a ContextVar), so installing
         # it here covers every simulation the experiment runs — including
-        # in worker processes, which re-enter through this function.  The
-        # batch-kernel pin rides the same mechanism; ``None`` leaves the
-        # ambient/environment selection untouched.
-        kernel_ctx: ContextManager[None] = (
-            use_kernel(kernel) if kernel is not None else nullcontext()
-        )
-        with use_backend(backend), kernel_ctx, collect_metrics(registry):
+        # in worker processes, which re-enter through this function.
+        with use_backend(backend), collect_metrics(registry):
             report = spec(**kwargs)
     except Exception as exc:
         raise ExperimentFailedError(
@@ -160,7 +152,6 @@ def _child_execute(
     kwargs: dict[str, Any],
     clock: Callable[[], float],
     backend: str = "reference",
-    kernel: str | None = None,
 ) -> None:
     """Sandboxed-process entry: run one experiment, ship the outcome back.
 
@@ -173,7 +164,7 @@ def _child_execute(
         conn.send(
             {
                 "ok": True,
-                "result": _execute(experiment, kwargs, clock, backend, kernel),
+                "result": _execute(experiment, kwargs, clock, backend),
             }
         )
     except Exception as exc:
@@ -188,7 +179,6 @@ def _execute_isolated(
     clock: Callable[[], float],
     timeout_s: float | None,
     backend: str = "reference",
-    kernel: str | None = None,
 ) -> dict[str, Any]:
     """Run one attempt in a dedicated process with a hard wall-clock cap.
 
@@ -200,7 +190,7 @@ def _execute_isolated(
     parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(
         target=_child_execute,
-        args=(child_conn, experiment, dict(kwargs), clock, backend, kernel),
+        args=(child_conn, experiment, dict(kwargs), clock, backend),
         daemon=True,
     )
     proc.start()
@@ -243,7 +233,6 @@ def _execute_with_policy(
     max_retries: int,
     backoff_s: float,
     backend: str = "reference",
-    kernel: str | None = None,
 ) -> dict[str, Any]:
     """One run under the resilience policy: timeout, bounded retries, backoff.
 
@@ -261,9 +250,9 @@ def _execute_with_policy(
         try:
             if timeout_s is not None:
                 return _execute_isolated(
-                    experiment, kwargs, clock, timeout_s, backend, kernel
+                    experiment, kwargs, clock, timeout_s, backend
                 )
-            return _execute(experiment, kwargs, clock, backend, kernel)
+            return _execute(experiment, kwargs, clock, backend)
         except ExperimentFailedError as exc:
             attempts.append(str(exc))
     raise RunQuarantinedError(
@@ -337,17 +326,11 @@ class CampaignExecutor:
         retry_backoff_s: float = 0.05,
         quarantine: bool = False,
         backend: str = "reference",
-        kernel: str | None = None,
     ) -> None:
         check_positive_int(jobs, "jobs")
-        # Resolve eagerly: an unknown backend or kernel name must fail the
-        # campaign at construction, not deep inside a worker process.  The
-        # kernel resolves all the way (``"auto"``/absent-numba fallback
-        # included), so the manifest records what actually ran and every
-        # worker computes under the same pinned implementation.
+        # Resolve eagerly: an unknown backend name must fail the campaign
+        # at construction, not deep inside a worker process.
         get_backend(backend)
-        if kernel is not None:
-            kernel = resolve_kernel(kernel)
         if run_timeout_s is not None and run_timeout_s <= 0:
             raise InvalidParameterError(
                 f"run_timeout_s must be > 0 or None, got {run_timeout_s}"
@@ -374,12 +357,6 @@ class CampaignExecutor:
         #: (a hit recorded under another backend would defeat the
         #: cross-backend verification, so it is a miss by construction).
         self.backend = backend
-        #: Resolved batch kernel pinned for every run, or ``None`` for the
-        #: ambient/environment selection.  Deliberately *not* part of the
-        #: cache key: kernels are bit-identical by contract (enforced by
-        #: ``python -m repro.batch.verify``), so a hit computed under
-        #: another kernel is the same bytes.
-        self.kernel = kernel
 
     @property
     def _hardened(self) -> bool:
@@ -427,7 +404,6 @@ class CampaignExecutor:
                 result_digest=entry.report.digest(),
                 metrics=entry.metrics,
                 backend=self.backend,
-                kernel=self.kernel,
             )
 
         raw: dict[str, dict[str, Any]] = {}
@@ -443,7 +419,6 @@ class CampaignExecutor:
                         dict(request.kwargs),
                         self.clock,
                         self.backend,
-                        self.kernel,
                     )
                     for request in to_compute
                 }
@@ -456,7 +431,6 @@ class CampaignExecutor:
                     dict(request.kwargs),
                     self.clock,
                     self.backend,
-                    self.kernel,
                 )
 
         if self.cache is None:
@@ -490,7 +464,6 @@ class CampaignExecutor:
                 result_digest=report.digest(),
                 metrics=result["metrics"],
                 backend=self.backend,
-                kernel=self.kernel,
             )
 
         manifest = RunManifest(
@@ -506,7 +479,6 @@ class CampaignExecutor:
             ),
             runs=[records[request.experiment] for request in requests],
             backend=self.backend,
-            kernel=self.kernel,
         )
         return CampaignOutcome(
             reports=reports, manifest=manifest, failures=failures
@@ -540,7 +512,6 @@ class CampaignExecutor:
                     max_retries=self.max_retries,
                     backoff_s=self.retry_backoff_s,
                     backend=self.backend,
-                    kernel=self.kernel,
                 )
             except RunQuarantinedError as exc:
                 return exc, time.perf_counter() - t0
@@ -575,7 +546,6 @@ class CampaignExecutor:
                     result_digest="",
                     error="; ".join(outcome.attempts) or str(outcome),
                     backend=self.backend,
-                    kernel=self.kernel,
                 )
             else:
                 raw[request.experiment] = outcome
@@ -589,13 +559,12 @@ def run_campaign_experiments(
     cache: ResultCache | None = None,
     refresh: bool = False,
     backend: str = "reference",
-    kernel: str | None = None,
 ) -> CampaignOutcome:
     """Convenience wrapper: build requests for ``names`` (default: the whole
     registry, sorted) and execute them."""
     names = sorted(REGISTRY) if names is None else list(names)
     requests = build_requests(names, overrides=overrides, base_seed=base_seed)
     executor = CampaignExecutor(
-        jobs=jobs, cache=cache, refresh=refresh, backend=backend, kernel=kernel
+        jobs=jobs, cache=cache, refresh=refresh, backend=backend
     )
     return executor.run(requests)

@@ -10,7 +10,7 @@ serialization.  Twenty deterministic golden scenarios live in
 runs the *reference* engine only); the tests then hold
 
 * the reference engine to the committed digests (the file is not stale),
-* every available batch kernel to the same digests, with the
+* the batch engine to the same digests, with the
   ``backend.fallbacks`` counter proving the batch path really ran,
 * and a hypothesis sweep comparing full event lists object-by-object on
   arbitrary DAGs (sharper diagnostics than a digest mismatch).
@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import run_batch
-from repro.batch.kernels import available_kernels
 from repro.core.allocator import LpaAllocator
 from repro.graph import TaskGraph
 from repro.graph.generators import (
@@ -186,12 +185,12 @@ def reference_events(items, mu=MU):
     return tracer.events
 
 
-def batch_events(items, kernel, mu=MU):
+def batch_events(items, mu=MU):
     """Trace the same item list through the batch engine, asserting the
     batch path actually ran (no silent reference fallback)."""
     tracer = CollectingTracer()
     with collect_metrics() as registry:
-        outcome = run_batch(items, LpaAllocator(mu), kernel=kernel, emit=tracer.emit)
+        outcome = run_batch(items, LpaAllocator(mu), emit=tracer.emit)
     assert registry.value("backend.fallbacks") == 0
     assert registry.value("batch.runs") == len(items)
     assert outcome.B == len(items)
@@ -213,11 +212,10 @@ class TestGoldenDigests:
         digest = trace_digest(reference_events(SCENARIOS[name]()))
         assert digest == golden[name], f"reference trace drifted for {name!r}"
 
-    @pytest.mark.parametrize("kernel", available_kernels())
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_batch_matches_golden(self, name, kernel, golden):
-        digest = trace_digest(batch_events(SCENARIOS[name](), kernel))
-        assert digest == golden[name], f"batch[{kernel}] trace drifted for {name!r}"
+    def test_batch_matches_golden(self, name, golden):
+        digest = trace_digest(batch_events(SCENARIOS[name]()))
+        assert digest == golden[name], f"batch trace drifted for {name!r}"
 
 
 class TestBackendPath:
@@ -288,7 +286,7 @@ class TestHypothesisTraceEquivalence:
         # Object-level comparison, not digests: a mismatch points at the
         # first diverging event instead of a useless hash pair.
         reference = reference_events([(graph, P)])
-        batched = batch_events([(graph, P)], None)
+        batched = batch_events([(graph, P)])
         assert [event_to_dict(e) for e in reference] == [
             event_to_dict(e) for e in batched
         ]

@@ -2,7 +2,11 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths
+from repro.lint.registry import get_rule
+from repro.lint.semantic import cache as cache_module
 from repro.lint.semantic.base import get_semantic_rule
 from repro.lint.semantic.cache import AnalysisCache, content_hash, ruleset_signature
 
@@ -72,10 +76,33 @@ class TestInvalidation:
         assert {f.code for f in report.findings} == {"RL001"}
 
     def test_ruleset_signature_depends_on_codes(self):
-        assert ruleset_signature(["RL001"]) != ruleset_signature(["RL002"])
-        assert ruleset_signature(["RL001", "RL002"]) == ruleset_signature(
-            ["RL001", "RL002"]
+        rl001, rl002 = get_rule("RL001"), get_rule("RL002")
+        assert ruleset_signature([rl001]) != ruleset_signature([rl002])
+        assert ruleset_signature([rl001, rl002]) == ruleset_signature([rl002, rl001])
+
+    @pytest.mark.parametrize(
+        ("edited", "stale"), [("RL001", "dirty.py"), ("RL010", "semantic")]
+    )
+    def test_edited_rule_source_misses(self, tmp_path: Path, monkeypatch, edited, stale):
+        tree = make_tree(tmp_path)
+        cache_path = tmp_path / "cache.json"
+        run(tree, AnalysisCache(cache_path))
+
+        real_hash = cache_module.rule_source_hash
+        monkeypatch.setattr(
+            cache_module,
+            "rule_source_hash",
+            lambda rule: "edited" if rule.code == edited else real_hash(rule),
         )
+        cache = AnalysisCache(cache_path)
+        report = run(tree, cache)
+        if stale == "semantic":
+            # Per-file entries replay; only the whole-program entry is stale.
+            assert cache.hits == 2 and cache.misses == 1
+        else:
+            # Every per-file entry carries the per-file ruleset signature.
+            assert cache.misses == 2 and cache.hits == 1
+        assert {f.code for f in report.findings} == {"RL001", "RL010"}
 
     def test_content_hash_is_content_sensitive(self):
         assert content_hash("a = 1\n") != content_hash("a = 2\n")
