@@ -36,6 +36,7 @@ declined by the adapter), and callers fall back to the reference engine.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -101,11 +102,12 @@ class CompiledRun:
     initial: np.ndarray
     #: Execution time under ``procs`` per column (``float64 [n]``).
     duration: np.ndarray
-    #: Scalar allocator consultations made while compiling this run
-    #: (zero when the vectorized batch decision covered every group).
+    #: Allocator consultations made while compiling this run: one per
+    #: cache-key group, or one per task for task-aware allocators.
     allocator_calls: int
-    #: Cache-key groups resolved by the allocator's vectorized batch
-    #: decision instead of scalar calls.
+    #: Cache-key groups whose decision the allocator's prefetch resolved
+    #: by array math rather than a scalar ``allocate`` (each still one
+    #: consultation and one cache miss).
     vectorized_groups: int = 0
     #: Allocator-cache counter diffs across this run's compilation
     #: (zero for allocators without a ``cache_info``).
@@ -249,12 +251,14 @@ def compile_run(
     cache-key group — so the resulting floats are identical to what the
     reference loop would produce task by task.
 
-    With ``capture_trace`` the vectorized ``allocate_batch`` shortcut is
-    skipped and each group's allocator call is wrapped in the same
-    cache-counter delta window the reference engine uses for traced runs,
-    recording per-group cache status plus the allocator's ``explain``
-    (α/β) detail on the :class:`CompiledRun` for post-hoc event
-    reconstruction.
+    Groups the allocator can resolve ahead of time go through its
+    :meth:`~repro.sim.allocation.Allocator.prefetch` first, as in the
+    reference engine, so the vectorized LPA decisions are stored in (and
+    counted by) the same LRU cache.  With ``capture_trace`` each group's
+    allocator call is wrapped in the same cache-counter delta window the
+    reference engine uses for traced runs, recording per-group cache
+    status plus the allocator's ``explain`` (α/β) detail on the
+    :class:`CompiledRun` for post-hoc event reconstruction.
     """
     if getattr(allocator, "uses_free", False):
         raise BatchUnsupportedError(
@@ -318,39 +322,21 @@ def compile_run(
             trace_exact = True
     elif n:
         reps = structure.group_rep
-        # Vectorized fast path: allocators exposing allocate_batch (the
-        # LPA family) resolve all cache-key groups in one array-math call
-        # — same decisions, zero per-group Python allocator calls.  The
-        # allocator returns None when it cannot prove parity (subclass
-        # overrides), and the per-group scalar loop below takes over.
-        # Trace capture needs per-group cache windows, so it always takes
-        # the scalar loop.
         rep_models = [tasks[ids[int(rep)]].model for rep in reps]
-        batch_fn = None if capture_trace else getattr(allocator, "allocate_batch", None)
-        batched = batch_fn(rep_models, P) if callable(batch_fn) else None
-        if batched is not None:
-            calls += batched.scalar_calls
-            vectorized = batched.vectorized
-            g_final = batched.final
-            g_initial = batched.initial
-            g_duration = batched.duration
-            bad = (g_final < 1) | (g_final > P)
-            if bad.any():
-                gi = int(np.argmax(bad))
-                _check_alloc(
-                    int(g_final[gi]),
-                    P,
-                    f"Allocation(initial={int(g_initial[gi])}, "
-                    f"final={int(g_final[gi])})",
-                    ids[int(reps[gi])],
-                )
-        else:
-            g_final = np.empty(len(reps), dtype=np.int64)
-            g_initial = np.empty(len(reps), dtype=np.int64)
-            g_duration = np.empty(len(reps), dtype=np.float64)
-            for g, rep in enumerate(reps):
-                tid = ids[int(rep)]
-                model = tasks[tid].model
+        g_final = np.empty(len(reps), dtype=np.int64)
+        g_initial = np.empty(len(reps), dtype=np.int64)
+        g_duration = np.empty(len(reps), dtype=np.float64)
+        # The same resolver as the reference engine: the prefetch batches
+        # the groups this run will miss (array math for the LPA family),
+        # and each group's allocate_cached call then counts and stores its
+        # decision in the allocator's cache.
+        prefetch = getattr(allocator, "prefetch", None)
+        resolved: AbstractContextManager[int] = (
+            prefetch(rep_models, P) if callable(prefetch) else nullcontext(0)
+        )
+        with resolved as vectorized:
+            for g, model in enumerate(rep_models):
+                tid = ids[int(reps[g])]
                 before = cache_info() if capture_trace and info0 is not None else None
                 alloc = allocate_model(model, P, free=None)
                 calls += 1

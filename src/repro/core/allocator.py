@@ -155,12 +155,13 @@ class LpaAllocator(Allocator):
     ) -> "BatchAllocation | None":
         """Resolve many models' allocations at once, vectorizing Eq. (1).
 
-        Batch-compilation fast path (:func:`repro.batch.layout.compile_run`
-        calls it once per run with one model per cache-key group): lanes
+        Called by :meth:`~repro.sim.allocation.Allocator.prefetch` once per
+        run, with one model per cache-key group the run will miss: lanes
         whose math is provably the Equation (1) closed forms resolve
         through :mod:`repro.core.lpa_batch`'s array implementation of the
         α/β decision — bit-identical to :meth:`allocate` by construction —
-        and every other lane falls back to :meth:`allocate_cached`.
+        and every other lane falls back to :meth:`allocate`.  The cache is
+        not touched.
 
         Returns ``None`` when vectorization cannot be trusted: a subclass
         overriding any decision method (``allocate``/``initial_allocation``/

@@ -1,11 +1,12 @@
 """Vectorized Algorithm-2 allocation across Equation (1) model groups.
 
-:func:`repro.batch.layout.compile_run` resolves allocations once per
-``(cache_key, P)`` group; before this module each group still cost one
-Python-side :meth:`~repro.sim.allocation.Allocator.allocate_cached` call
-(two binary searches querying ``model.time`` point by point).  Here the
-whole LPA α/β decision runs as array math over *all* eligible groups at
-once: closed-form :math:`p^{\\max}` per Equation (5), the time-ratio
+Both engines resolve allocations once per ``(cache_key, P)`` group, and
+a scalar :meth:`~repro.core.allocator.LpaAllocator.allocate` costs two
+binary searches querying ``model.time`` point by point.
+:meth:`~repro.sim.allocation.Allocator.prefetch` instead hands every
+group a run will miss to :func:`lpa_allocate_batch`, where the whole LPA
+α/β decision runs as array math over *all* eligible groups at once:
+closed-form :math:`p^{\\max}` per Equation (5), the time-ratio
 feasibility bisection, and the area-plateau bisection — each lane
 advancing through exactly the scalar algorithm's iterates, together.
 
@@ -61,21 +62,15 @@ __all__ = [
 class BatchAllocation:
     """Whole-group allocation decisions, one lane per model.
 
-    ``duration[i]`` is ``time(final[i])`` — computed with the same float
-    ops as the scalar path, so downstream schedules stay bit-identical.
-    ``scalar_calls`` counts lanes resolved through the scalar allocator
-    (models outside the vectorizable family); ``vectorized`` counts lanes
-    the array math resolved.
+    ``vectorized`` counts lanes the array math resolved; the others
+    (models outside the vectorizable family) went through the scalar
+    allocator.
     """
 
     #: ``int64 [m]``: step-1 initial allocations.
     initial: np.ndarray
     #: ``int64 [m]``: post-cap final allocations.
     final: np.ndarray
-    #: ``float64 [m]``: execution times at ``final``.
-    duration: np.ndarray
-    #: Lanes that fell back to the scalar allocator.
-    scalar_calls: int
     #: Lanes resolved by the vectorized α/β decision.
     vectorized: int
 
@@ -265,14 +260,14 @@ def lpa_allocate_batch(
     """Resolve allocations for ``models`` on ``P``, vectorizing Eq. (1) lanes.
 
     Eligible lanes go through :func:`lpa_decide_eq1`; the rest resolve
-    through ``allocator.allocate_cached`` — the same scalar path the
-    reference engine uses — so the result covers *every* model while only
-    the provably identical family is vectorized.
+    through the scalar ``allocator.allocate``, so the result covers
+    *every* model while only the provably identical family is vectorized.
+    Neither touches the allocation cache: storing and counting decisions
+    stays with :meth:`~repro.sim.allocation.Allocator.allocate_cached`.
     """
     m = len(models)
     initial = np.empty(m, dtype=np.int64)
     final = np.empty(m, dtype=np.int64)
-    duration = np.empty(m, dtype=np.float64)
     eligible = np.fromiter(
         (eq1_eligible(model) for model in models), dtype=np.bool_, count=m
     )
@@ -285,21 +280,10 @@ def lpa_allocate_batch(
         vec_final = np.where(vec_initial > cap, np.int64(cap), vec_initial)
         initial[lanes] = vec_initial
         final[lanes] = vec_final
-        duration[lanes] = eq1_time(w, d, c, pt, vec_final.astype(np.float64))
 
-    scalar_calls = 0
     for i in np.nonzero(~eligible)[0]:
-        model = models[int(i)]
-        alloc = allocator.allocate_cached(model, P, free=None)
-        scalar_calls += 1
+        alloc = allocator.allocate(models[int(i)], P, free=None)
         initial[i] = alloc.initial
         final[i] = alloc.final
-        duration[i] = model.time(alloc.final)
 
-    return BatchAllocation(
-        initial=initial,
-        final=final,
-        duration=duration,
-        scalar_calls=scalar_calls,
-        vectorized=int(lanes.size),
-    )
+    return BatchAllocation(initial=initial, final=final, vectorized=int(lanes.size))

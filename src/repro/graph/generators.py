@@ -156,11 +156,15 @@ def layered_random(
             layer.append(next_id)
             next_id += 1
         layers.append(layer)
+    # One ``gen.random(width)`` row per target task draws the same doubles,
+    # in the same order, as ``width`` scalar ``gen.random()`` calls, so the
+    # graphs are those of the per-edge loop; the fallback draw for an empty
+    # row still sits between rows.
     for i in range(1, n_layers):
+        prev = layers[i - 1]
         for v in layers[i]:
-            preds = [u for u in layers[i - 1] if gen.random() < p]
-            if not preds:
-                preds = [layers[i - 1][int(gen.integers(len(layers[i - 1])))]]
+            hits = (gen.random(layer_width) < p).nonzero()[0].tolist()
+            preds = [prev[k] for k in hits] if hits else [prev[int(gen.integers(layer_width))]]
             for u in preds:
                 g.add_edge(u, v)
     return g
@@ -186,8 +190,9 @@ def erdos_renyi_dag(
         g.add_task(i, model_factory())
     if n > 1:
         mask = gen.random((n, n)) < p
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mask[i, j]:
-                    g.add_edge(i, j)
+        # Row-major nonzeros of the strict upper triangle: the pairs
+        # ``i < j`` in the order of the nested ``for i: for j`` loop.
+        rows, cols = np.nonzero(np.triu(mask, 1))
+        for i, j in zip(rows.tolist(), cols.tolist(), strict=True):
+            g.add_edge(i, j)
     return g

@@ -18,12 +18,22 @@ a hashable :meth:`~repro.speedup.SpeedupModel.cache_key` (or an allocator
 whose decision depends on the instantaneous ``free`` count) bypasses the
 cache entirely, and a mutated model yields a fresh key, so cached and
 uncached runs produce identical allocations.
+
+Because Algorithm 2 is a pure function of ``(model, P)``, a run over a
+graph known up front can resolve its distinct decisions before the event
+loop: :meth:`Allocator.prefetch` hands the not-yet-cached keys to the
+allocator's ``allocate_batch`` in one call and parks the results in a
+run-scoped table that :meth:`Allocator.allocate_cached` reads on its miss
+branch instead of calling :meth:`Allocator.allocate`.  Counting, LRU
+insertion and eviction happen exactly as without the table.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,6 +101,9 @@ class Allocator(abc.ABC):
     _cache_hits: int = 0
     _cache_misses: int = 0
     _cache_bypasses: int = 0
+    # Decisions resolved ahead of the loop by :meth:`prefetch`, keyed like
+    # the cache; only the miss branch of :meth:`allocate_cached` reads it.
+    _prefetched: dict[tuple[object, int], Allocation] | None = None
 
     @abc.abstractmethod
     def allocate(
@@ -138,11 +151,79 @@ class Allocator(abc.ABC):
             cache.move_to_end(entry)
             return cached
         self._cache_misses += 1
-        alloc = self.allocate(model, P, free=free)
+        prefetched = self._prefetched
+        alloc = None if prefetched is None else prefetched.get(entry)
+        if alloc is None:
+            alloc = self.allocate(model, P, free=free)
         cache[entry] = alloc
         if len(cache) > self.cache_maxsize:
             cache.popitem(last=False)
         return alloc
+
+    @contextmanager
+    def prefetch(self, models: Iterable[SpeedupModel], P: int) -> Iterator[int]:
+        """Resolve the cache misses ``models`` will cause on ``P`` in one batch.
+
+        Groups ``models`` by ``(cache_key(), P)``, drops the groups
+        :meth:`allocate_cached` would not store (no key, unhashable key) or
+        already holds, and resolves the rest through the allocator's
+        ``allocate_batch(models, P)`` in one call (it returns ``initial``
+        and ``final`` int arrays, one lane per model, and the count of
+        ``vectorized`` lanes; see :class:`repro.core.lpa_batch.BatchAllocation`).
+        Inside the block, a
+        miss on a prefetched key takes its decision from that table instead
+        of calling :meth:`allocate`; hits, misses, bypasses, LRU insertion
+        and eviction are counted and ordered exactly as without it.  The
+        table is dropped on exit, exceptions included, and a nested block
+        restores the outer one.
+
+        A no-op for ``free``-dependent allocators, a disabled cache, and
+        allocators without an ``allocate_batch`` or whose ``allocate_batch``
+        returns ``None``.  Yields the number of decisions the batch resolved
+        by array math rather than scalar :meth:`allocate` calls.
+        """
+        outer = self._prefetched
+        table, vectorized = self._resolve_batch(models, P)
+        if table is not None:
+            self._prefetched = table
+        try:
+            yield vectorized
+        finally:
+            self._prefetched = outer
+
+    def _resolve_batch(
+        self, models: Iterable[SpeedupModel], P: int
+    ) -> tuple[dict[tuple[object, int], Allocation] | None, int]:
+        batch_fn = getattr(self, "allocate_batch", None)
+        if self.uses_free or self.cache_maxsize <= 0 or not callable(batch_fn):
+            return None, 0
+        cache = self._cache
+        groups: dict[tuple[object, int], SpeedupModel] = {}
+        # Instances often share model objects; key each object once.
+        for model in {id(model): model for model in models}.values():
+            key_fn = getattr(model, "cache_key", None)
+            key = key_fn() if callable(key_fn) else None
+            if key is None:
+                continue
+            entry = (key, P)
+            try:
+                if entry in groups or (cache is not None and entry in cache):
+                    continue
+            except TypeError:  # unhashable key: allocate_cached bypasses it
+                continue
+            groups[entry] = model
+        if not groups:
+            return None, 0
+        batch = batch_fn(list(groups.values()), P)
+        if batch is None:
+            return None, 0
+        table = {
+            entry: Allocation(initial=initial, final=final)
+            for entry, initial, final in zip(
+                groups, batch.initial.tolist(), batch.final.tolist(), strict=True
+            )
+        }
+        return table, int(batch.vectorized)
 
     def cache_info(self) -> AllocationCacheInfo:
         """Return this allocator's cumulative cache counters."""

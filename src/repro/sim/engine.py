@@ -40,7 +40,7 @@ import heapq
 import itertools
 import math
 from bisect import insort
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
@@ -674,63 +674,71 @@ class ListScheduler:
         release_due = getattr(source, "release_due", None)
         timed = callable(next_release) and callable(release_due)
 
-        admit(source.initial_tasks())
-        start_fitting()
-        if emit is not None:
-            emit(QueueSampled(now, len(queue), free))
+        # A static graph reveals a known set of models: resolve the
+        # decisions the run will miss in one batch before the loop (a no-op
+        # for allocators that cannot; see Allocator.prefetch).
+        prefetch = getattr(self.allocator, "prefetch", None)
+        resolved: AbstractContextManager[object] = nullcontext()
+        if callable(prefetch) and not use_task_alloc and isinstance(source, StaticGraphSource):
+            resolved = prefetch([t.model for t in source.realized_graph().tasks()], P)
+        with resolved:
+            admit(source.initial_tasks())
+            start_fitting()
+            if emit is not None:
+                emit(QueueSampled(now, len(queue), free))
 
-        heappop = heapq.heappop
-        on_complete = source.on_complete
+            heappop = heapq.heappop
+            on_complete = source.on_complete
 
-        if not timed:
-            # Untimed sources (the paper's setting): the next event is
-            # always the earliest completion, so the loop runs heap-driven
-            # without the release-time bookkeeping of the general case.
-            while events:
-                now = events[0][0]
-                stats.events += 1
-                revealed: list[Task] = []
-                # Drain every completion at this instant before rescanning
-                # the queue, so simultaneous completions release processors
-                # together.
-                while events and events[0][0] == now:
-                    _, _, task_id, procs = heappop(events)
-                    free += procs
-                    if checker is not None:
-                        checker.on_complete(now, task_id)
+            if not timed:
+                # Untimed sources (the paper's setting): the next event is
+                # always the earliest completion, so the loop runs heap-driven
+                # without the release-time bookkeeping of the general case.
+                while events:
+                    now = events[0][0]
+                    stats.events += 1
+                    revealed: list[Task] = []
+                    # Drain every completion at this instant before rescanning
+                    # the queue, so simultaneous completions release processors
+                    # together.
+                    while events and events[0][0] == now:
+                        _, _, task_id, procs = heappop(events)
+                        free += procs
+                        if checker is not None:
+                            checker.on_complete(now, task_id)
+                        if emit is not None:
+                            emit(TaskCompleted(now, task_id, procs, schedule[task_id].start))
+                        revealed.extend(on_complete(task_id))
+                    admit(revealed)
+                    start_fitting()
                     if emit is not None:
-                        emit(TaskCompleted(now, task_id, procs, schedule[task_id].start))
-                    revealed.extend(on_complete(task_id))
-                admit(revealed)
-                start_fitting()
-                if emit is not None:
-                    emit(QueueSampled(now, len(queue), free))
-        else:
-            while True:
-                t_completion = events[0][0] if events else math.inf
-                t_release = math.inf
-                upcoming = next_release()
-                if upcoming is not None:
-                    t_release = upcoming
-                if math.isinf(t_completion) and math.isinf(t_release):
-                    break
-                now = min(t_completion, t_release)
-                stats.events += 1
-                revealed = []
-                if t_release <= now:
-                    revealed.extend(release_due(now))
-                while events and events[0][0] == now:
-                    _, _, task_id, procs = heappop(events)
-                    free += procs
-                    if checker is not None:
-                        checker.on_complete(now, task_id)
+                        emit(QueueSampled(now, len(queue), free))
+            else:
+                while True:
+                    t_completion = events[0][0] if events else math.inf
+                    t_release = math.inf
+                    upcoming = next_release()
+                    if upcoming is not None:
+                        t_release = upcoming
+                    if math.isinf(t_completion) and math.isinf(t_release):
+                        break
+                    now = min(t_completion, t_release)
+                    stats.events += 1
+                    revealed = []
+                    if t_release <= now:
+                        revealed.extend(release_due(now))
+                    while events and events[0][0] == now:
+                        _, _, task_id, procs = heappop(events)
+                        free += procs
+                        if checker is not None:
+                            checker.on_complete(now, task_id)
+                        if emit is not None:
+                            emit(TaskCompleted(now, task_id, procs, schedule[task_id].start))
+                        revealed.extend(on_complete(task_id))
+                    admit(revealed)
+                    start_fitting()
                     if emit is not None:
-                        emit(TaskCompleted(now, task_id, procs, schedule[task_id].start))
-                    revealed.extend(on_complete(task_id))
-                admit(revealed)
-                start_fitting()
-                if emit is not None:
-                    emit(QueueSampled(now, len(queue), free))
+                        emit(QueueSampled(now, len(queue), free))
 
         if queue:
             stuck = [entry[1].id for entry in queue[:10]]

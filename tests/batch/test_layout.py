@@ -85,14 +85,22 @@ class TestCompileRun:
 
     def test_lpa_groups_resolve_without_scalar_calls(self):
         # The LPA family's batch decision covers whole cache-key groups
-        # with array math: zero scalar allocator calls for Eq. (1) models.
+        # with array math: no scalar Algorithm-2 call for Eq. (1) models,
+        # yet each group is one cached consultation and one cache miss.
+        def no_scalar(model, P, *, free=None):
+            raise AssertionError("scalar allocate called")
+
         g = TaskGraph()
         model = CommunicationModel(25.0, 0.25)
         for i in range(50):
             g.add_task(i, model)
-        run = compile_run(compile_structure(g), 8, LpaAllocator(0.324), g)
-        assert run.allocator_calls == 0
+        allocator = LpaAllocator(0.324)
+        allocator.allocate = no_scalar
+        run = compile_run(compile_structure(g), 8, allocator, g)
+        assert run.allocator_calls == 1
         assert run.vectorized_groups == 1
+        assert run.alloc_cache_misses == 1
+        assert allocator.cache_info().currsize == 1
 
     def test_overridden_lpa_falls_back_to_one_call_per_group(self):
         # A subclass changing the decision math must not be vectorized;

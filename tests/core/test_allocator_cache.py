@@ -159,3 +159,71 @@ class TestCacheMechanics:
         allocator.allocate_cached(b, 16)
         info = allocator.cache_info()
         assert info.misses == 1 and info.hits == 1
+
+
+class TestPrefetch:
+    def test_prefetched_miss_skips_scalar_search(self):
+        allocator = LpaAllocator(MU_STAR["communication"])
+        model = CommunicationModel(w=50.0, c=0.5)
+        expected = allocator.allocate(model, 16)
+        with allocator.prefetch([model, model], 16) as vectorized:
+            assert vectorized == 1
+            allocator.allocate = None  # any scalar call would now fail
+            assert allocator.allocate_cached(model, 16) == expected
+            assert allocator.allocate_cached(model, 16) == expected
+        info = allocator.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_cached_and_keyless_models_are_not_batched(self):
+        allocator = LpaAllocator(MU_STAR["communication"])
+        cached = CommunicationModel(w=50.0, c=0.5)
+        allocator.allocate_cached(cached, 16)
+        keyless = CallableModel(lambda p: 10.0 / p + 0.1 * p)
+        with allocator.prefetch([cached, keyless], 16) as vectorized:
+            assert vectorized == 0
+            assert allocator._prefetched is None
+
+    def test_nested_prefetch_restores_outer_table(self):
+        allocator = LpaAllocator(MU_STAR["communication"])
+        a = CommunicationModel(w=50.0, c=0.5)
+        b = CommunicationModel(w=70.0, c=0.5)
+        with allocator.prefetch([a], 16):
+            outer = allocator._prefetched
+            assert outer is not None
+            with allocator.prefetch([b], 32):
+                assert allocator._prefetched is not outer
+            assert allocator._prefetched is outer
+        assert allocator._prefetched is None
+
+    def test_table_dropped_on_exception(self):
+        allocator = LpaAllocator(MU_STAR["communication"])
+        with pytest.raises(RuntimeError):
+            with allocator.prefetch([CommunicationModel(w=50.0, c=0.5)], 16):
+                assert allocator._prefetched is not None
+                raise RuntimeError("inside the block")
+        assert allocator._prefetched is None
+
+    @pytest.mark.parametrize(
+        "allocator",
+        [
+            MaxUsefulAllocator(),  # no allocate_batch
+            AvailableProcessorsAllocator(),  # reads `free`
+        ],
+    )
+    def test_noop_without_batch_resolution(self, allocator):
+        with allocator.prefetch([CommunicationModel(w=50.0, c=0.5)], 16) as vectorized:
+            assert vectorized == 0
+            assert allocator._prefetched is None
+
+    def test_noop_when_cache_disabled_or_batch_declines(self):
+        disabled = LpaAllocator(MU_STAR["communication"])
+        disabled.configure_cache(0)
+
+        class Declining(LpaAllocator):
+            def allocate_batch(self, models, P):
+                return None
+
+        for allocator in (disabled, Declining(MU_STAR["communication"])):
+            with allocator.prefetch([CommunicationModel(w=50.0, c=0.5)], 16) as vectorized:
+                assert vectorized == 0
+                assert allocator._prefetched is None

@@ -1,5 +1,6 @@
 """Unit tests for the synthetic DAG generators."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
@@ -12,6 +13,7 @@ from repro.graph.generators import (
     layered_random,
     out_tree,
 )
+from repro.graph.taskgraph import TaskGraph
 from repro.speedup import AmdahlModel
 
 
@@ -118,3 +120,81 @@ class TestErdosRenyi:
         a = erdos_renyi_dag(15, factory, edge_probability=0.2, seed=9)
         b = erdos_renyi_dag(15, factory, edge_probability=0.2, seed=9)
         assert a.edges() == b.edges()
+
+
+# ----------------------------------------------------------------------
+# Stream pinning: the vectorized draws must reproduce the per-edge loops
+# ----------------------------------------------------------------------
+def _scalar_layered_random(n_layers, layer_width, model_factory, *, edge_probability, gen):
+    """The per-edge ``gen.random()`` loop the row-wise draws replace."""
+    g = TaskGraph()
+    layers = []
+    next_id = 0
+    for _ in range(n_layers):
+        layer = []
+        for _ in range(layer_width):
+            g.add_task(next_id, model_factory())
+            layer.append(next_id)
+            next_id += 1
+        layers.append(layer)
+    for i in range(1, n_layers):
+        for v in layers[i]:
+            preds = [u for u in layers[i - 1] if gen.random() < edge_probability]
+            if not preds:
+                preds = [layers[i - 1][int(gen.integers(len(layers[i - 1])))]]
+            for u in preds:
+                g.add_edge(u, v)
+    return g
+
+
+def _scalar_erdos_renyi_dag(n, model_factory, *, edge_probability, gen):
+    """The O(n^2) Python pair loop the triangle nonzeros replace."""
+    g = TaskGraph()
+    for i in range(n):
+        g.add_task(i, model_factory())
+    if n > 1:
+        mask = gen.random((n, n)) < edge_probability
+        for i in range(n):
+            for j in range(i + 1, n):
+                if mask[i, j]:
+                    g.add_edge(i, j)
+    return g
+
+
+def _assert_same_graph(a, b):
+    assert [t.id for t in a.tasks()] == [t.id for t in b.tasks()]
+    assert a.edges() == b.edges()
+    # edges() groups by source; predecessor lists keep the insertion order.
+    assert [a.predecessors(t) for t in a] == [b.predecessors(t) for t in b]
+    assert all(type(u) is int and type(v) is int for u, v in a.edges())
+
+
+SEEDS = (0, 1, 7, 2024)
+PROBABILITIES = (0.0, 0.3, 1.0)
+
+
+class TestStreamPinning:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("width", (1, 7, 32))
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_layered_random_matches_scalar_draws(self, seed, width, p):
+        # p=0 empties every row, so each target task also draws the
+        # gen.integers fallback between rows.
+        gen_new = np.random.default_rng(seed)
+        gen_ref = np.random.default_rng(seed)
+        new = layered_random(5, width, factory, edge_probability=p, seed=gen_new)
+        ref = _scalar_layered_random(5, width, factory, edge_probability=p, gen=gen_ref)
+        _assert_same_graph(new, ref)
+        # Both leave a shared generator at the same stream position.
+        assert gen_new.random() == gen_ref.random()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", (1, 7, 32))
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_erdos_renyi_matches_pair_loop(self, seed, n, p):
+        gen_new = np.random.default_rng(seed)
+        gen_ref = np.random.default_rng(seed)
+        new = erdos_renyi_dag(n, factory, edge_probability=p, seed=gen_new)
+        ref = _scalar_erdos_renyi_dag(n, factory, edge_probability=p, gen=gen_ref)
+        _assert_same_graph(new, ref)
+        assert gen_new.random() == gen_ref.random()

@@ -8,19 +8,30 @@ resilient runs, ``profile_engine`` aggregation).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro.baselines.online import MaxUsefulAllocator
+from repro.adversary.arbitrary import AdaptiveChainSource, chain_forest_platform
+from repro.baselines.online import AvailableProcessorsAllocator, MaxUsefulAllocator
 from repro.core.allocator import LpaAllocator
 from repro.core.constants import MU_STAR
 from repro.core.scheduler import OnlineScheduler
-from repro.graph.generators import chain, independent_tasks
+from repro.graph.generators import chain, independent_tasks, layered_random
 from repro.graph.taskgraph import TaskGraph
+from repro.obs.events import AllocationDecided, CollectingTracer
 from repro.resilience.faults import FaultTrace
 from repro.resilience.retry import RetryPolicy
+from repro.sim.allocation import Allocator
 from repro.sim.engine import EngineStats, ListScheduler, profile_engine
-from repro.sim.sources import ReleasedTaskSource
-from repro.speedup import CommunicationModel, RooflineModel
+from repro.sim.sources import ReleasedTaskSource, StaticGraphSource
+from repro.speedup import (
+    CallableModel,
+    CommunicationModel,
+    PowerLawModel,
+    RandomModelFactory,
+    RooflineModel,
+)
 
 
 def comm():
@@ -147,3 +158,205 @@ class TestProfileEngine:
             assert inner.tasks_started == 4
             scheduler.run(graph)
         assert outer.tasks_started == 4  # only the run outside `inner`
+
+
+# ----------------------------------------------------------------------
+# Static allocation prefetch: identical to the per-task path
+# ----------------------------------------------------------------------
+MU = MU_STAR["general"]
+
+
+def _layered(seed=5, family="general"):
+    return layered_random(6, 8, RandomModelFactory(family, seed=seed), seed=seed)
+
+
+def _count_scalar(allocator):
+    """Count the allocator's scalar ``allocate`` calls (instance-level spy)."""
+    calls = [0]
+    scalar = allocator.allocate
+
+    def counting(model, P, *, free=None):
+        calls[0] += 1
+        return scalar(model, P, free=free)
+
+    allocator.allocate = counting
+    return calls
+
+
+def _no_prefetch(self, models, P):
+    return nullcontext(0)
+
+
+def _run_pair(monkeypatch, make_allocator, make_source, P, *, runs=1, tracer=False):
+    """Run with the prefetch and with it disabled; return both sides.
+
+    Each side is ``(results, allocator, scalar_calls, events)`` after
+    ``runs`` consecutive runs on one allocator (later runs see a warm cache).
+    """
+    sides = []
+    for disabled in (False, True):
+        with monkeypatch.context() as m:
+            if disabled:
+                m.setattr(Allocator, "prefetch", _no_prefetch)
+            allocator = make_allocator()
+            calls = _count_scalar(allocator)
+            collected = CollectingTracer() if tracer else None
+            results = [
+                ListScheduler(P, allocator).run(make_source(), tracer=collected)
+                for _ in range(runs)
+            ]
+            sides.append((results, allocator, calls[0], collected))
+    return sides
+
+
+def _assert_same(with_prefetch, per_task):
+    results_a, alloc_a, _, events_a = with_prefetch
+    results_b, alloc_b, _, events_b = per_task
+    for a, b in zip(results_a, results_b, strict=True):
+        assert list(a.schedule) == list(b.schedule)
+        assert a.allocations == b.allocations
+        assert a.stats == b.stats
+    assert alloc_a.cache_info() == alloc_b.cache_info()
+    if events_a is not None:
+        assert events_a.events == events_b.events
+
+
+class TestStaticPrefetch:
+    def test_lpa_resolves_misses_without_scalar_calls(self, monkeypatch):
+        graph = _layered()
+        fast, slow = _run_pair(monkeypatch, lambda: LpaAllocator(MU), lambda: graph, 64)
+        _assert_same(fast, slow)
+        misses = fast[0][0].stats.alloc_cache_misses
+        assert misses == len({t.model.cache_key() for t in graph.tasks()})
+        assert fast[2] == 0  # every miss came from the batch table
+        assert slow[2] == misses
+
+    def test_traced_cache_statuses_unchanged(self, monkeypatch):
+        graph = _layered(seed=6, family="amdahl")
+        fast, slow = _run_pair(
+            monkeypatch, lambda: LpaAllocator(MU), lambda: graph, 16, tracer=True
+        )
+        _assert_same(fast, slow)
+        statuses = [e.cache for e in fast[3].of_type(AllocationDecided)]
+        assert statuses == [e.cache for e in slow[3].of_type(AllocationDecided)]
+        assert set(statuses) == {"miss"}
+
+    def test_warm_cache_gives_zero_misses(self, monkeypatch):
+        graph = _layered(seed=7)
+        fast, slow = _run_pair(
+            monkeypatch, lambda: LpaAllocator(MU), lambda: graph, 64, runs=2
+        )
+        _assert_same(fast, slow)
+        warm = fast[0][1].stats
+        assert warm.alloc_cache_misses == 0
+        assert warm.alloc_cache_hits == len(graph)
+
+    def test_eviction_order_unchanged(self, monkeypatch):
+        # 12 distinct keys cycled three times through a 5-entry LRU: keys
+        # are evicted and missed again, each miss served by the table.
+        models = [CommunicationModel(w=10.0 + k, c=0.5) for k in range(12)]
+        graph = TaskGraph()
+        for i in range(36):
+            graph.add_task(i, models[i % 12])
+            if i >= 12:
+                graph.add_edge(i - 12, i)
+
+        def make():
+            allocator = LpaAllocator(MU_STAR["communication"])
+            allocator.configure_cache(5)
+            return allocator
+
+        fast, slow = _run_pair(monkeypatch, make, lambda: graph, 8)
+        _assert_same(fast, slow)
+        info = fast[1].cache_info()
+        assert info.misses > 12 and info.currsize == 5
+        assert fast[2] == 0
+
+    def test_disabled_cache(self, monkeypatch):
+        def make():
+            allocator = LpaAllocator(MU)
+            allocator.configure_cache(0)
+            return allocator
+
+        graph = _layered(seed=8)
+        fast, slow = _run_pair(monkeypatch, make, lambda: graph, 64)
+        _assert_same(fast, slow)
+        assert fast[2] == slow[2] == len(graph)  # all bypasses, all scalar
+
+    def test_uses_free_allocator(self, monkeypatch):
+        graph = _layered(seed=9)
+        fast, slow = _run_pair(monkeypatch, AvailableProcessorsAllocator, lambda: graph, 32)
+        _assert_same(fast, slow)
+        assert fast[2] == len(graph)
+
+    def test_task_aware_allocator(self, monkeypatch):
+        class TaskAwareLpa(LpaAllocator):
+            def allocate_task(self, task, P, *, free=None):
+                return self.allocate_cached(task.model, P, free=free)
+
+        graph = _layered(seed=10)
+        fast, slow = _run_pair(monkeypatch, lambda: TaskAwareLpa(MU), lambda: graph, 64)
+        _assert_same(fast, slow)
+        # The engine leaves task-aware allocators alone: scalar misses.
+        assert fast[2] == fast[0][0].stats.alloc_cache_misses > 0
+
+    def test_overridden_allocate(self, monkeypatch):
+        class Shifted(LpaAllocator):
+            def allocate(self, model, P, *, free=None):
+                alloc = super().allocate(model, P, free=free)
+                return type(alloc)(initial=alloc.initial, final=max(1, alloc.final // 2))
+
+        graph = _layered(seed=11)
+        fast, slow = _run_pair(monkeypatch, lambda: Shifted(MU), lambda: graph, 64)
+        _assert_same(fast, slow)
+        assert fast[2] == fast[0][0].stats.alloc_cache_misses > 0
+
+    def test_models_without_usable_keys(self, monkeypatch):
+        class ListKeyModel(CommunicationModel):
+            def cache_key(self):
+                return ["communication", self.w, self.c]
+
+        graph = TaskGraph()
+        models = [
+            CallableModel(lambda p: 10.0 / p + 0.1 * p),
+            ListKeyModel(w=50.0, c=0.5),
+            CommunicationModel(w=40.0, c=0.5),
+            PowerLawModel(60.0),
+        ]
+        for i in range(12):
+            graph.add_task(i, models[i % 4])
+        fast, slow = _run_pair(monkeypatch, lambda: LpaAllocator(MU), lambda: graph, 16)
+        _assert_same(fast, slow)
+        info = fast[1].cache_info()
+        assert info.bypasses == 6 and info.misses == 2 and info.hits == 4
+        # The bypasses, plus the batch's scalar lane for the power-law
+        # model (outside Eq. 1); the communication model is vectorized.
+        assert fast[2] == 7 and slow[2] == 8
+
+    def test_released_task_source(self, monkeypatch):
+        releases = [(float(i), CommunicationModel(w=20.0 + i, c=0.3)) for i in range(10)]
+        fast, slow = _run_pair(
+            monkeypatch,
+            lambda: LpaAllocator(MU),
+            lambda: ReleasedTaskSource(releases),
+            8,
+        )
+        _assert_same(fast, slow)
+        assert fast[2] == 10  # not a static graph: no prefetch
+
+    def test_adaptive_chain_source(self, monkeypatch):
+        P = chain_forest_platform(2)[2]
+        fast, slow = _run_pair(
+            monkeypatch, lambda: LpaAllocator(MU), lambda: AdaptiveChainSource(2), P
+        )
+        _assert_same(fast, slow)
+
+    def test_table_cleared_after_exception(self):
+        class Failing(StaticGraphSource):
+            def on_complete(self, task_id):
+                raise RuntimeError("source failed")
+
+        allocator = LpaAllocator(MU)
+        with pytest.raises(RuntimeError, match="source failed"):
+            ListScheduler(64, allocator).run(Failing(_layered(seed=12)))
+        assert allocator._prefetched is None
