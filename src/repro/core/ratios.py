@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import minimize_scalar
+from typing import Callable
 
 from repro.core.constants import MODEL_FAMILIES, MU_MAX, delta
 from repro.exceptions import InvalidParameterError
@@ -138,6 +137,105 @@ def ratio_for_mu(family: str, mu: float) -> float:
     return framework_ratio(mu, alpha)
 
 
+def _sign(v: float) -> float:
+    """``np.sign`` for a finite float: -1.0, 0.0 or 1.0."""
+    if v > 0.0:
+        return 1.0
+    if v < 0.0:
+        return -1.0
+    return 0.0
+
+
+def _minimize_bounded(
+    func: Callable[[float], float],
+    lo: float,
+    hi: float,
+    xatol: float,
+    maxfun: int = 500,
+) -> float:
+    """Bounded Brent minimization of ``func`` on ``[lo, hi]``; returns the argmin.
+
+    An operation-for-operation port of scipy's ``_minimize_scalar_bounded``
+    (``minimize_scalar(method="bounded")``), so every float it returns is
+    bit-identical to ``res.x``; ``tests/core/test_ratios.py`` pins that.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for parabolic fit.
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of the parabola.
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    si = _sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+
+        if golden:  # Golden-section step.
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = _sign(rat) + (rat == 0)
+        x = xf + si * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+
+    return xf
+
+
 @dataclass(frozen=True)
 class OptimizedRatio:
     """Result of minimizing the Lemma-5 ratio over ``mu`` for one family."""
@@ -176,10 +274,7 @@ def optimize_mu(family: str, *, xatol: float = 1e-12) -> OptimizedRatio:
             # Large finite penalty: keeps Brent's parabolic steps numeric.
             return 1e12
 
-    res = minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
-    )
-    mu = float(res.x)
+    mu = _minimize_bounded(objective, lo, hi, xatol)
     x = optimal_x(family, mu)
     alpha, beta = alpha_beta_curve(family, x)
     return OptimizedRatio(family, mu, x, alpha, beta, framework_ratio(mu, alpha))

@@ -19,6 +19,7 @@ from repro.exceptions import (
     ScheduleError,
 )
 from repro.graph.taskgraph import TaskGraph
+from repro.sim.schedule import interval_profile
 from repro.types import TaskId, Time
 from repro.util.validation import check_positive_int
 
@@ -111,16 +112,9 @@ class MalleableSchedule:
     def utilization_profile(self) -> tuple[np.ndarray, np.ndarray]:
         """Like :meth:`repro.sim.Schedule.utilization_profile`, per segment."""
         segs = [s for s in self if s.duration > 0]
-        if not segs:
-            return np.array([0.0]), np.array([], dtype=np.int64)
-        points = sorted({s.start for s in segs} | {s.end for s in segs})
-        breakpoints = np.asarray(points, dtype=float)
-        usage = np.zeros(len(points) - 1, dtype=np.int64)
-        for s in segs:
-            i0 = int(np.searchsorted(breakpoints, s.start))
-            i1 = int(np.searchsorted(breakpoints, s.end))
-            usage[i0:i1] += s.procs
-        return breakpoints, usage
+        return interval_profile(
+            [s.start for s in segs], [s.end for s in segs], [s.procs for s in segs]
+        )
 
     # ------------------------------------------------------------------
     def validate(self, graph: TaskGraph | None = None, *, rtol: float = 1e-9) -> None:

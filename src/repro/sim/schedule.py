@@ -23,7 +23,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.types import TaskId, Time
 from repro.util.validation import check_positive_int
 
-__all__ = ["ScheduledTask", "Schedule"]
+__all__ = ["ScheduledTask", "Schedule", "interval_profile"]
 
 
 class ScheduledTask(NamedTuple):
@@ -54,6 +54,28 @@ class ScheduledTask(NamedTuple):
     def area(self) -> float:
         """Processor-time product consumed by the task."""
         return self.procs * self.duration
+
+
+def interval_profile(
+    starts: Sequence[Time], ends: Sequence[Time], procs: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Busy-processor profile of intervals ``[starts[i], ends[i])`` on ``procs[i]``.
+
+    Returns ``(breakpoints, usage)`` as documented on
+    :meth:`Schedule.utilization_profile`.  ``usage`` is the prefix sum of
+    an int64 difference array (``+procs`` at each start index, ``-procs``
+    at each end index), so it is exact however many intervals overlap.
+    """
+    if not starts:
+        return np.array([0.0]), np.array([], dtype=np.int64)
+    lo = np.asarray(starts, dtype=float)
+    hi = np.asarray(ends, dtype=float)
+    breakpoints = np.unique(np.concatenate((lo, hi)))
+    width = np.asarray(procs, dtype=np.int64)
+    diff = np.zeros(len(breakpoints), dtype=np.int64)
+    np.add.at(diff, np.searchsorted(breakpoints, lo), width)
+    np.add.at(diff, np.searchsorted(breakpoints, hi), -width)
+    return breakpoints, np.cumsum(diff[:-1])
 
 
 class Schedule:
@@ -146,16 +168,11 @@ class Schedule:
         in the half-open interval ``[breakpoints[i], breakpoints[i+1])``
         (length ``k``).  Tasks of zero duration contribute nothing.
         """
-        if not self._entries:
-            return np.array([0.0]), np.array([], dtype=np.int64)
-        points = sorted({e.start for e in self._entries} | {e.end for e in self._entries})
-        breakpoints = np.asarray(points, dtype=float)
-        usage = np.zeros(len(points) - 1, dtype=np.int64)
-        starts = np.searchsorted(breakpoints, [e.start for e in self._entries])
-        ends = np.searchsorted(breakpoints, [e.end for e in self._entries])
-        for entry, i0, i1 in zip(self._entries, starts, ends, strict=True):
-            usage[i0:i1] += entry.procs
-        return breakpoints, usage
+        return interval_profile(
+            [e.start for e in self._entries],
+            [e.end for e in self._entries],
+            [e.procs for e in self._entries],
+        )
 
     def peak_utilization(self) -> int:
         """Maximum number of simultaneously busy processors."""

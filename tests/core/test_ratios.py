@@ -1,11 +1,13 @@
 """Unit tests for the competitive-ratio theory (Lemmas 5-9, Theorems 1-8)."""
 
 import math
+import random
 
 import pytest
 
-from repro.core.constants import MODEL_FAMILIES, MU_STAR, X_STAR, delta
+from repro.core.constants import MODEL_FAMILIES, MU_MAX, MU_STAR, X_STAR, delta
 from repro.core.ratios import (
+    _minimize_bounded,
     algorithm_lower_bound,
     alpha_beta_curve,
     arbitrary_model_lower_bound,
@@ -193,3 +195,81 @@ class TestTable1:
         assert [r[0] for r in rows] == list(MODEL_FAMILIES)
         for _, ub, lb in rows:
             assert lb <= ub + 1e-9
+
+
+class TestBoundedMinimizerParity:
+    """``_minimize_bounded`` is a port of scipy's bounded Brent, bit for bit."""
+
+    @staticmethod
+    def _problems(seed, n):
+        rng = random.Random(seed)
+        for i in range(n):
+            lo = rng.uniform(-5.0, 5.0)
+            hi = lo + rng.uniform(1e-3, 10.0)
+            xatol = 10.0 ** rng.uniform(-13.0, -2.0)
+            c = rng.uniform(lo, hi)
+            w = rng.uniform(0.1, 5.0)
+            kind = i % 3
+            if kind == 0:
+                yield lo, hi, xatol, lambda x, c=c, w=w: w * (x - c) ** 2
+            elif kind == 1:
+                yield lo, hi, xatol, lambda x, c=c, w=w: math.sin(w * x + c)
+            else:
+                # optimize_mu's shape: smooth inside, a 1e12 penalty past a cut.
+                cut = rng.uniform(lo, hi)
+                yield lo, hi, xatol, lambda x, c=c, cut=cut: (
+                    1e12 if x > cut else (x - c) ** 2
+                )
+
+    def test_matches_scipy_bit_for_bit(self):
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        for lo, hi, xatol, func in self._problems(seed=20220829, n=600):
+            ours = _minimize_bounded(func, lo, hi, xatol)
+            ref = minimize_scalar(
+                func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+            ).x
+            assert ours == ref, (lo, hi, xatol, ours.hex(), float(ref).hex())
+
+    @pytest.mark.parametrize("family", ["communication", "amdahl", "general"])
+    @pytest.mark.parametrize("xatol", [1e-12, 1e-8, 1e-5, 1e-3])
+    def test_optimize_mu_matches_scipy(self, family, xatol):
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+
+        def objective(mu):
+            try:
+                return ratio_for_mu(family, mu)
+            except InvalidParameterError:
+                return 1e12
+
+        ref = minimize_scalar(
+            objective,
+            bounds=(1e-6, MU_MAX - 1e-12),
+            method="bounded",
+            options={"xatol": xatol},
+        ).x
+        assert optimize_mu(family, xatol=xatol).mu == ref
+
+    @pytest.mark.parametrize(
+        "family, mu_hex, ratio_hex",
+        [
+            ("roofline", "0x1.8722191a02d60p-2", "0x1.4f1bbcdcbfa55p+1"),
+            ("communication", "0x1.4b4234fe6e2a5p-2", "0x1.cd6da9beb8c05p+1"),
+            ("amdahl", "0x1.156042a241b6dp-2", "0x1.2ec1c5c776395p+2"),
+            ("general", "0x1.af7ca08d22af4p-3", "0x1.6db746bc4f510p+2"),
+        ],
+    )
+    def test_table1_optimum_pinned(self, family, mu_hex, ratio_hex):
+        res = optimize_mu(family, xatol=1e-12)
+        assert res.mu.hex() == mu_hex
+        assert res.ratio.hex() == ratio_hex
+
+    def test_respects_maxfun(self):
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return math.sin(x)
+
+        _minimize_bounded(func, 0.0, 100.0, 1e-13, maxfun=7)
+        assert len(calls) == 7
+        assert all(0.0 <= x <= 100.0 for x in calls)

@@ -1,5 +1,6 @@
 """Unit tests for Schedule recording and feasibility validation."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import (
@@ -102,6 +103,55 @@ class TestUtilizationProfile:
     def test_empty_schedule(self):
         bps, usage = Schedule(2).utilization_profile()
         assert usage.size == 0
+
+    @staticmethod
+    def _reference_profile(s):
+        """The per-entry slice-add loop the difference array replaced."""
+        points = sorted({e.start for e in s} | {e.end for e in s})
+        breakpoints = np.asarray(points, dtype=float)
+        usage = np.zeros(len(points) - 1, dtype=np.int64)
+        for e in s:
+            i0 = int(np.searchsorted(breakpoints, e.start))
+            i1 = int(np.searchsorted(breakpoints, e.end))
+            usage[i0:i1] += e.procs
+        return breakpoints, usage
+
+    def _assert_matches_reference(self, s):
+        bps, usage = s.utilization_profile()
+        ref_bps, ref_usage = self._reference_profile(s)
+        assert bps.dtype == ref_bps.dtype and usage.dtype == ref_usage.dtype
+        assert bps.tolist() == ref_bps.tolist()
+        assert usage.tolist() == ref_usage.tolist()
+
+    def test_single_entry(self):
+        s = Schedule(4)
+        s.add("a", 1.5, 4.0, 3)
+        self._assert_matches_reference(s)
+        assert s.utilization_profile()[1].tolist() == [3]
+
+    def test_zero_duration_entries_contribute_nothing(self):
+        s = Schedule(8)
+        s.add("a", 0.0, 2.0, 3)
+        s.add("z0", 1.0, 1.0, 8)
+        s.add("z1", 2.0, 2.0, 5)
+        s.add("z2", 5.0, 5.0, 1)
+        self._assert_matches_reference(s)
+        bps, usage = s.utilization_profile()
+        assert bps.tolist() == [0.0, 1.0, 2.0, 5.0]
+        assert usage.tolist() == [3, 3, 0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_entry_loop_on_random_schedules(self, seed):
+        rng = np.random.default_rng(seed)
+        P = int(rng.integers(1, 64))
+        s = Schedule(P)
+        # A small grid of times forces shared breakpoints and, with equal
+        # start/end draws, zero-duration entries.
+        grid = np.round(rng.uniform(0.0, 10.0, size=8), 3)
+        for i in range(int(rng.integers(1, 200))):
+            a, b = sorted(rng.choice(grid, size=2))
+            s.add(i, float(a), float(b), int(rng.integers(1, P + 1)))
+        self._assert_matches_reference(s)
 
 
 class TestValidation:
