@@ -32,9 +32,10 @@ def minimum_total_area(graph: TaskGraph, P: int) -> float:
 def _min_length_to(graph: TaskGraph, P: int) -> dict[TaskId, float]:
     """Longest path (in minimum execution times) ending at each task."""
     t_min = {task.id: task.model.t_min(P) for task in graph.tasks()}
+    preds = graph.predecessor_map()
     length: dict[TaskId, float] = {}
     for u in graph.topological_order():
-        best_pred = max((length[p] for p in graph.predecessors(u)), default=0.0)
+        best_pred = max((length[p] for p in preds[u]), default=0.0)
         length[u] = best_pred + t_min[u]
     return length
 
@@ -102,9 +103,10 @@ def graph_stats(graph: TaskGraph, P: int) -> GraphStats:
     depth layering (an easy-to-compute proxy for maximum task parallelism).
     """
     P = check_positive_int(P, "P")
+    preds = graph.predecessor_map()
     depth_of: dict[TaskId, int] = {}
     for u in graph.topological_order():
-        depth_of[u] = 1 + max((depth_of[p] for p in graph.predecessors(u)), default=0)
+        depth_of[u] = 1 + max((depth_of[p] for p in preds[u]), default=0)
     layer_sizes: dict[int, int] = {}
     for d in depth_of.values():
         layer_sizes[d] = layer_sizes.get(d, 0) + 1

@@ -140,7 +140,8 @@ def layered_random(
     """A random layered DAG: edges only go from layer ``i`` to layer ``i+1``.
 
     Every non-first-layer task receives at least one predecessor so the
-    depth really is ``n_layers``.
+    depth really is ``n_layers``.  Each layer draws its ``layer_width**2``
+    edge doubles in one block, so memory grows with the square of the width.
     """
     n_layers = check_positive_int(n_layers, "n_layers")
     layer_width = check_positive_int(layer_width, "layer_width")
@@ -156,15 +157,26 @@ def layered_random(
             layer.append(next_id)
             next_id += 1
         layers.append(layer)
-    # One ``gen.random(width)`` row per target task draws the same doubles,
-    # in the same order, as ``width`` scalar ``gen.random()`` calls, so the
-    # graphs are those of the per-edge loop; the fallback draw for an empty
-    # row still sits between rows.
+    # Each layer is one ``(width, width)`` draw: row ``r`` holds the doubles
+    # that ``width`` scalar ``gen.random()`` calls would give target task
+    # ``r``, in the same order, so the graphs are those of the per-edge
+    # loop.  A row without a hit draws a ``gen.integers`` fallback between
+    # rows; for such a layer the block overdraws, so the generator is
+    # rewound and the layer is redrawn row by row.
+    bit_generator = gen.bit_generator
     for i in range(1, n_layers):
-        prev = layers[i - 1]
-        for v in layers[i]:
-            hits = (gen.random(layer_width) < p).nonzero()[0].tolist()
-            preds = [prev[k] for k in hits] if hits else [prev[int(gen.integers(layer_width))]]
+        prev, layer = layers[i - 1], layers[i]
+        state = bit_generator.state
+        hits = gen.random((layer_width, layer_width)) < p
+        if hits.any(axis=1).all():
+            rows, cols = hits.nonzero()
+            for r, k in zip(rows.tolist(), cols.tolist(), strict=True):
+                g.add_edge(prev[k], layer[r])
+            continue
+        bit_generator.state = state
+        for v in layer:
+            row = (gen.random(layer_width) < p).nonzero()[0].tolist()
+            preds = [prev[k] for k in row] if row else [prev[int(gen.integers(layer_width))]]
             for u in preds:
                 g.add_edge(u, v)
     return g

@@ -27,6 +27,16 @@ class TaskGraph:
     adversarial generators control the reveal order of simultaneously
     available tasks.
 
+    Cycle prevention is cheap on *forward* graphs.  While every edge goes
+    from an earlier-inserted task to a later one, every path visits tasks
+    in increasing insertion order, so a new forward edge cannot close a
+    cycle and :meth:`add_edge` skips the reachability probe.  The first
+    backward edge the graph accepts ends that invariant for good, and from
+    then on every edge is probed.  The generators in
+    :mod:`repro.graph.generators` add forward edges only, except
+    :func:`~repro.graph.generators.in_tree`, which reverses an out-tree
+    and so inserts backward edges and keeps the probe.
+
     Examples
     --------
     >>> from repro.speedup import AmdahlModel
@@ -42,6 +52,10 @@ class TaskGraph:
         self._tasks: dict[TaskId, Task] = {}
         self._succ: dict[TaskId, list[TaskId]] = {}
         self._pred: dict[TaskId, list[TaskId]] = {}
+        #: Insertion position of every task; orients edges for ``_forward``.
+        self._index: dict[TaskId, int] = {}
+        #: True while every edge goes from a lower to a higher ``_index``.
+        self._forward = True
         self._num_edges = 0
 
     # ------------------------------------------------------------------
@@ -59,6 +73,7 @@ class TaskGraph:
         self._tasks[task_id] = task
         self._succ[task_id] = []
         self._pred[task_id] = []
+        self._index[task_id] = len(self._index)
         return task
 
     def add_edge(self, src: TaskId, dst: TaskId) -> None:
@@ -67,14 +82,22 @@ class TaskGraph:
         Raises :class:`~repro.exceptions.CycleError` if the edge would close
         a directed cycle, leaving the graph unchanged.
         """
-        self._require(src)
-        self._require(dst)
-        if src == dst:
+        index = self._index
+        i = index.get(src)
+        if i is None:
+            raise UnknownTaskError(src)
+        j = index.get(dst)
+        if j is None:
+            raise UnknownTaskError(dst)
+        if i == j:  # same key even for ids unequal to themselves (float nan)
             raise CycleError(f"self-loop on task {src!r}")
         if dst in self._succ[src]:
             return  # idempotent
-        if self._reaches(dst, src):
-            raise CycleError(f"edge {src!r} -> {dst!r} would create a cycle")
+        if not (self._forward and i < j):
+            if self._reaches(dst, src):
+                raise CycleError(f"edge {src!r} -> {dst!r} would create a cycle")
+            if i > j:
+                self._forward = False
         self._succ[src].append(dst)
         self._pred[dst].append(src)
         self._num_edges += 1
@@ -126,6 +149,14 @@ class TaskGraph:
         path.  The snapshot is decoupled from later graph mutations.
         """
         return {t: tuple(s) for t, s in self._succ.items()}
+
+    def predecessor_map(self) -> dict[TaskId, tuple[TaskId, ...]]:
+        """Snapshot of the whole adjacency: id -> direct predecessors.
+
+        The predecessor counterpart of :meth:`successor_map`, for analyses
+        that visit every task's predecessors once.
+        """
+        return {t: tuple(p) for t, p in self._pred.items()}
 
     def in_degree_map(self) -> dict[TaskId, int]:
         """Snapshot of every task's in-degree, in insertion order."""

@@ -222,17 +222,20 @@ class Schedule:
         extra = [t for t in self._by_task if t not in graph]
         if extra:
             raise ScheduleError(f"scheduled tasks not in graph: {extra[:10]!r}")
+        by_task = self._by_task
+        preds = graph.predecessor_map()
+        tasks = graph.task_map() if check_durations else {}
         for task_id in graph:
-            entry = self._by_task[task_id]
-            for pred in graph.predecessors(task_id):
-                pred_end = self._by_task[pred].end
+            entry = by_task[task_id]
+            for pred in preds[task_id]:
+                pred_end = by_task[pred].end
                 if entry.start < pred_end - tol:
                     raise PrecedenceViolationError(
                         f"task {task_id!r} starts at {entry.start:.6g} before "
                         f"predecessor {pred!r} ends at {pred_end:.6g}"
                     )
             if check_durations:
-                expected = graph.task(task_id).model.time(entry.procs)
+                expected = tasks[task_id].model.time(entry.procs)
                 if abs(entry.duration - expected) > rtol * max(1.0, expected):
                     raise ScheduleError(
                         f"task {task_id!r}: duration {entry.duration:.6g} does not "

@@ -190,18 +190,29 @@ class SpeedupModel(abc.ABC):
     # ------------------------------------------------------------------
     @staticmethod
     def _check_p(p: int) -> int:
-        if isinstance(p, bool) or p != int(p):
-            raise InvalidParameterError(f"processor count must be an integer, got {p!r}")
-        p = int(p)
+        # An exact ``int`` skips the integrality probe: ``time(p)`` runs this
+        # on every call, and the allocators pass plain ints.
+        if type(p) is not int:
+            p = _integral(p, "processor count")
         if p < 1:
             raise InvalidParameterError(f"processor count must be >= 1, got {p}")
         return p
 
     @staticmethod
     def _check_P(P: int) -> int:
-        if isinstance(P, bool) or P != int(P):
-            raise InvalidParameterError(f"platform size P must be an integer, got {P!r}")
-        P = int(P)
+        if type(P) is not int:
+            P = _integral(P, "platform size P")
         if P < 1:
             raise InvalidParameterError(f"platform size P must be >= 1, got {P}")
         return P
+
+
+def _integral(value: object, what: str) -> int:
+    """``int(value)`` for a non-bool value equal to it, else InvalidParameterError."""
+    try:
+        bad = isinstance(value, bool) or value != int(value)  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf, ...
+        bad = True
+    if bad:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)  # type: ignore[call-overload]

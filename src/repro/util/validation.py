@@ -22,12 +22,21 @@ __all__ = [
 
 
 def _check_finite_real(value: object, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real):
+    # Exact ``float``/``int`` skip the ``numbers.Real`` ABC check, the
+    # costly part for the per-task model constructors; every other type
+    # (bool, numpy scalars, subclasses, Fraction, ...) takes the ABC path.
+    if type(value) is float:
+        result = value
+    elif type(value) is int or (not isinstance(value, bool) and isinstance(value, Real)):
+        try:
+            result = float(value)
+        except OverflowError:  # e.g. 10**400: a real number, but not a finite float
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}") from None
+    else:
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return value
+    if not math.isfinite(result):
+        raise InvalidParameterError(f"{name} must be finite, got {result!r}")
+    return result
 
 
 def check_positive(value: object, name: str) -> float:
@@ -52,17 +61,26 @@ def check_positive_int(value: object, name: str) -> int:
     Floats with integral values (e.g. ``4.0``) are accepted for convenience;
     ``True``/``False`` are rejected.
     """
-    if isinstance(value, bool):
+    if type(value) is int:
+        result = value
+    elif isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
-    if isinstance(value, Integral):
+    elif isinstance(value, Integral):
         result = int(value)
-    elif isinstance(value, Real) and float(value).is_integer():
+    elif isinstance(value, Real) and _is_integral_real(value):
         result = int(value)
     else:
         raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
     if result <= 0:
         raise InvalidParameterError(f"{name} must be >= 1, got {value!r}")
     return result
+
+
+def _is_integral_real(value: Real) -> bool:
+    try:
+        return float(value).is_integer()
+    except OverflowError:  # beyond the float range, e.g. Fraction(10**400)
+        return False
 
 
 def check_probability(value: object, name: str) -> float:

@@ -125,8 +125,14 @@ class TestErdosRenyi:
 # ----------------------------------------------------------------------
 # Stream pinning: the vectorized draws must reproduce the per-edge loops
 # ----------------------------------------------------------------------
-def _scalar_layered_random(n_layers, layer_width, model_factory, *, edge_probability, gen):
-    """The per-edge ``gen.random()`` loop the row-wise draws replace."""
+def _scalar_layered_random(
+    n_layers, layer_width, model_factory, *, edge_probability, gen, fallback_layers=None
+):
+    """The per-edge ``gen.random()`` loop the block draws replace.
+
+    Layers that draw a ``gen.integers`` fallback are added to
+    ``fallback_layers`` when a set is given.
+    """
     g = TaskGraph()
     layers = []
     next_id = 0
@@ -142,6 +148,8 @@ def _scalar_layered_random(n_layers, layer_width, model_factory, *, edge_probabi
             preds = [u for u in layers[i - 1] if gen.random() < edge_probability]
             if not preds:
                 preds = [layers[i - 1][int(gen.integers(len(layers[i - 1])))]]
+                if fallback_layers is not None:
+                    fallback_layers.add(i)
             for u in preds:
                 g.add_edge(u, v)
     return g
@@ -186,6 +194,24 @@ class TestStreamPinning:
         ref = _scalar_layered_random(5, width, factory, edge_probability=p, gen=gen_ref)
         _assert_same_graph(new, ref)
         # Both leave a shared generator at the same stream position.
+        assert gen_new.random() == gen_ref.random()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("bit_generator", (np.random.PCG64, np.random.MT19937))
+    def test_layered_random_mixes_block_and_fallback_layers(self, seed, bit_generator):
+        # At width 7 and p=0.3 a row is empty with probability 0.7**7, so
+        # about half of the 15 target layers take the rewind-and-redraw
+        # path and the others keep their block draw.  MT19937 pins the
+        # state restore for a second bit generator.
+        gen_new = np.random.Generator(bit_generator(seed))
+        gen_ref = np.random.Generator(bit_generator(seed))
+        fallback_layers = set()
+        new = layered_random(16, 7, factory, edge_probability=0.3, seed=gen_new)
+        ref = _scalar_layered_random(
+            16, 7, factory, edge_probability=0.3, gen=gen_ref, fallback_layers=fallback_layers
+        )
+        assert 0 < len(fallback_layers) < 15
+        _assert_same_graph(new, ref)
         assert gen_new.random() == gen_ref.random()
 
     @pytest.mark.parametrize("seed", SEEDS)

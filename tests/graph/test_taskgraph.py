@@ -41,6 +41,15 @@ class TestConstruction:
         with pytest.raises(CycleError):
             g.add_edge("a", "a")
 
+    def test_self_loop_on_nan_id_rejected(self):
+        # nan != nan, but a dict finds the same object as the same key.
+        nan = float("nan")
+        g = TaskGraph()
+        g.add_task(nan, _model())
+        with pytest.raises(CycleError, match="self-loop"):
+            g.add_edge(nan, nan)
+        assert g.num_edges() == 0 and g.topological_order() == [nan]
+
     def test_cycle_rejected_and_graph_unchanged(self):
         g = TaskGraph()
         for t in "abc":
@@ -82,6 +91,16 @@ class TestQueries:
         assert small_graph.successors("a") == ["b", "c"]
         assert small_graph.predecessors("d") == ["b", "c"]
         assert small_graph.predecessors("a") == []
+
+    def test_adjacency_snapshots(self, small_graph):
+        preds = small_graph.predecessor_map()
+        succs = small_graph.successor_map()
+        assert list(preds) == list(succs) == list(small_graph)
+        assert preds == {t: tuple(small_graph.predecessors(t)) for t in small_graph}
+        assert succs == {t: tuple(small_graph.successors(t)) for t in small_graph}
+        small_graph.add_task("e", _model())
+        small_graph.add_edge("d", "e")
+        assert "e" not in preds and succs["d"] == ()
 
     def test_degrees(self, small_graph):
         assert small_graph.in_degree("d") == 2
