@@ -4,7 +4,7 @@ Every trajectory entry must say *which code it measured*: a
 human-readable ``label`` and the short ``commit`` hash are required
 fields, validated by :func:`validate_engine_bench` (wired into the
 benchmark session via ``conftest.py``).  Shared between the conftest and
-``bench_batch.py``'s standalone ``--sweep`` entry point.
+``bench_lint.py``'s standalone entry point.
 """
 
 from __future__ import annotations

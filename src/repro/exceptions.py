@@ -20,7 +20,6 @@ __all__ = [
     "SimulationError",
     "InvariantViolationError",
     "TaskAbortedError",
-    "BatchUnsupportedError",
     "AllocationError",
     "FittingError",
     "ExperimentFailedError",
@@ -108,22 +107,6 @@ class TaskAbortedError(SimulationError):
         super().__init__(message)
         self.task_id = task_id
         self.attempts = attempts
-
-
-class BatchUnsupportedError(SimulationError):
-    """The batched SoA engine cannot simulate this run configuration.
-
-    Raised by :mod:`repro.batch` when a run uses a feature outside the
-    vectorized engine's contract (fault injection, timed releases,
-    adaptive sources, ``free``-dependent allocators, priority rules, ...).
-    Callers fall back to the reference engine, which remains authoritative
-    for every configuration.  ``feature`` names the unsupported capability
-    so fallbacks can be counted per cause.
-    """
-
-    def __init__(self, message: str, *, feature: str | None = None) -> None:
-        super().__init__(message)
-        self.feature = feature
 
 
 class AllocationError(ReproError):

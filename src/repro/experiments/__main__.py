@@ -56,7 +56,6 @@ def _run_campaign(args: argparse.Namespace, names: list[str]) -> int:
         jobs=args.jobs,
         cache=cache,
         refresh=args.refresh,
-        backend=args.backend,
     )
     manifest = outcome.manifest
 
@@ -92,7 +91,6 @@ def _run_campaign(args: argparse.Namespace, names: list[str]) -> int:
         )
         print(
             f"\n{len(manifest.runs)} runs | jobs={manifest.jobs} | "
-            f"backend={manifest.backend} | "
             f"wall {manifest.wall_time_s:.2f}s | "
             f"serial-equivalent {manifest.serial_equivalent_s:.2f}s | "
             f"speedup {manifest.speedup_vs_serial:.2f}x | "
@@ -115,15 +113,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--P", type=int, default=None, help="platform size override")
     parser.add_argument("--ell", type=int, default=None, help="Theorem-9 ell override")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    parser.add_argument(
-        "--backend",
-        choices=["reference", "batch"],
-        default="reference",
-        help="engine backend for the simulations (default: reference; "
-        "'batch' selects the vectorized structure-of-arrays engine, "
-        "bit-identical on its supported subset, reference fallback "
-        "elsewhere; campaign cache entries are keyed per backend)",
-    )
     parser.add_argument(
         "--profile",
         action="store_true",
@@ -293,10 +282,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             tracer = tracers[0] if len(tracers) == 1 else MultiTracer(*tracers)
             stack.enter_context(use_tracer(tracer))
-        if args.backend != "reference":
-            from repro.sim.backend import use_backend
-
-            stack.enter_context(use_backend(args.backend))
         report = run_experiment(args.experiment, **kwargs)
     if args.out is not None:
         _write_report(args.out, args.experiment, str(report))

@@ -4,7 +4,7 @@ Importing this package registers every rule; the registry in
 :mod:`repro.lint.registry` triggers the import lazily, so rule modules
 must never import the registry's *consumers* (engine, reporters).
 
-RL001–RL008 and RL012 are per-file rules (one AST at a time);
+RL001–RL007 and RL012 are per-file rules (one AST at a time);
 RL009–RL010 are whole-program semantic rules dispatched over the
 :class:`~repro.lint.semantic.project.Project` model when the engine is
 asked for semantic analysis (``python -m repro.lint --semantic``).
@@ -18,7 +18,6 @@ asked for semantic analysis (``python -m repro.lint --semantic``).
 | RL005 | mutable-state           | process-pool safety                          |
 | RL006 | public-annotations      | typed public API (mypy strict surface)       |
 | RL007 | frozen-events           | immutable, schema-complete event vocabulary  |
-| RL008 | batch-vectorization     | whole-array batch backend (no per-task loops)|
 | RL009 | cache-key-soundness     | cache_key() covers every decision-path read  |
 | RL010 | await-shared-state      | no racy read-modify-write across await       |
 | RL012 | emit-guard              | zero-cost disabled tracing (guarded emits)   |
@@ -32,7 +31,6 @@ from repro.lint.rules import (
     rl005_mutable_state,
     rl006_annotations,
     rl007_frozen_events,
-    rl008_batch_vectorization,
     rl009_cache_key_soundness,
     rl010_await_races,
     rl012_emit_guards,
@@ -46,7 +44,6 @@ __all__ = [
     "rl005_mutable_state",
     "rl006_annotations",
     "rl007_frozen_events",
-    "rl008_batch_vectorization",
     "rl009_cache_key_soundness",
     "rl010_await_races",
     "rl012_emit_guards",

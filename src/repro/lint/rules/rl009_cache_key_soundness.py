@@ -1,7 +1,7 @@
 """RL009: allocation decisions may only read cache-key-covered model state.
 
 The allocation cache (:meth:`repro.sim.allocation.Allocator.allocate_cached`)
-and the batch group resolver (:func:`repro.batch.layout.compile_run`)
+and its batch prefetch (:meth:`repro.sim.allocation.Allocator.prefetch`)
 memoize allocation decisions on ``(model.cache_key(), P)``.  That is
 sound **iff** every piece of model state the decision code reads is
 derivable from the key: an attribute read by ``time``/``area``/

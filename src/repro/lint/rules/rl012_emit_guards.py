@@ -1,7 +1,7 @@
 """RL012: event emission must be guarded by an enabled-check.
 
-Tracing is opt-in everywhere in the fast paths: the engine, the batch
-backend, and the service all carry an *optional* emit callable
+Tracing is opt-in everywhere in the fast paths: the engine and the
+service both carry an *optional* emit callable
 (``emit: _Emit | None = None``, ``self.emit``) that is ``None`` when the
 run is untraced.  The disabled-tracing overhead budget (<= 2% on the
 BENCH_engine scenarios) depends on every emission site short-circuiting
@@ -10,7 +10,7 @@ BENCH_engine scenarios) depends on every emission site short-circuiting
 an ``emit or noop`` shim hides the crash, silently pays event-allocation
 cost on every hot-loop iteration.
 
-The rule fires in ``repro.sim`` / ``repro.batch`` / ``repro.service`` on:
+The rule fires in ``repro.sim`` / ``repro.service`` on:
 
 * ``<chain>.emit(...)`` attribute calls (``self.emit(e)``,
   ``tracer.emit(e)``) that are not lexically inside an ``if``/ternary
@@ -21,7 +21,7 @@ The rule fires in ``repro.sim`` / ``repro.batch`` / ``repro.service`` on:
   without such a guard.
 
 A bare ``emit(...)`` bound to a **required** parameter (``emit: Emit``)
-is the blessed pattern for dedicated trace-reconstruction helpers — the
+is the blessed pattern for dedicated emission helpers — the
 enabled-check happened at the call boundary — and is not flagged.
 """
 
@@ -34,7 +34,7 @@ from repro.lint.context import FileContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
-_SCOPED_PACKAGES = ("repro.sim", "repro.batch", "repro.service")
+_SCOPED_PACKAGES = ("repro.sim", "repro.service")
 
 
 def _chain(node: ast.expr) -> str | None:
@@ -119,12 +119,8 @@ class EmitGuardRule(Rule):
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.module is None:
-            return True  # standalone snippets (fixtures) stay in scope
-        return any(
-            ctx.module == pkg or ctx.module.startswith(pkg + ".")
-            for pkg in _SCOPED_PACKAGES
-        )
+        # Standalone snippets (fixtures) have no module and stay in scope.
+        return ctx.in_package(*_SCOPED_PACKAGES)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         yield from self._visit(ctx, ctx.tree.body, guards=set(), funcs=[])

@@ -1,6 +1,6 @@
 """Whole-program semantic analysis on top of the per-file lint framework.
 
-The per-file rules (RL001–RL008, RL012) see one AST at a time; some
+The per-file rules (RL001–RL007, RL012) see one AST at a time; some
 contracts are *cross-module*: the allocation cache is only sound if
 :meth:`~repro.speedup.SpeedupModel.cache_key` covers every model
 attribute the allocator decision paths read, and the asyncio service

@@ -41,7 +41,6 @@ from repro.exceptions import (
 from repro.experiments.registry import REGISTRY, ExperimentReport, get_spec
 from repro.obs.metrics import MetricsRegistry, collect_metrics
 from repro.runtime.cache import ResultCache
-from repro.sim.backend import get_backend, use_backend
 from repro.runtime.manifest import RunManifest, RunRecord
 from repro.util.validation import check_positive_int
 
@@ -108,7 +107,6 @@ def _execute(
     experiment: str,
     kwargs: dict[str, Any],
     clock: Callable[[], float] = time.time,
-    backend: str = "reference",
 ) -> dict[str, Any]:
     """Worker entry point: run one experiment, return its report as JSON.
 
@@ -126,10 +124,7 @@ def _execute(
     t0 = time.perf_counter()
     registry = MetricsRegistry()
     try:
-        # The backend selection is ambient (a ContextVar), so installing
-        # it here covers every simulation the experiment runs — including
-        # in worker processes, which re-enter through this function.
-        with use_backend(backend), collect_metrics(registry):
+        with collect_metrics(registry):
             report = spec(**kwargs)
     except Exception as exc:
         raise ExperimentFailedError(
@@ -151,7 +146,6 @@ def _child_execute(
     experiment: str,
     kwargs: dict[str, Any],
     clock: Callable[[], float],
-    backend: str = "reference",
 ) -> None:
     """Sandboxed-process entry: run one experiment, ship the outcome back.
 
@@ -164,7 +158,7 @@ def _child_execute(
         conn.send(
             {
                 "ok": True,
-                "result": _execute(experiment, kwargs, clock, backend),
+                "result": _execute(experiment, kwargs, clock),
             }
         )
     except Exception as exc:
@@ -178,7 +172,6 @@ def _execute_isolated(
     kwargs: dict[str, Any],
     clock: Callable[[], float],
     timeout_s: float | None,
-    backend: str = "reference",
 ) -> dict[str, Any]:
     """Run one attempt in a dedicated process with a hard wall-clock cap.
 
@@ -190,7 +183,7 @@ def _execute_isolated(
     parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(
         target=_child_execute,
-        args=(child_conn, experiment, dict(kwargs), clock, backend),
+        args=(child_conn, experiment, dict(kwargs), clock),
         daemon=True,
     )
     proc.start()
@@ -232,7 +225,6 @@ def _execute_with_policy(
     timeout_s: float | None,
     max_retries: int,
     backoff_s: float,
-    backend: str = "reference",
 ) -> dict[str, Any]:
     """One run under the resilience policy: timeout, bounded retries, backoff.
 
@@ -249,10 +241,8 @@ def _execute_with_policy(
             time.sleep(backoff_s * 2 ** (attempt - 1))
         try:
             if timeout_s is not None:
-                return _execute_isolated(
-                    experiment, kwargs, clock, timeout_s, backend
-                )
-            return _execute(experiment, kwargs, clock, backend)
+                return _execute_isolated(experiment, kwargs, clock, timeout_s)
+            return _execute(experiment, kwargs, clock)
         except ExperimentFailedError as exc:
             attempts.append(str(exc))
     raise RunQuarantinedError(
@@ -325,12 +315,8 @@ class CampaignExecutor:
         max_retries: int = 0,
         retry_backoff_s: float = 0.05,
         quarantine: bool = False,
-        backend: str = "reference",
     ) -> None:
         check_positive_int(jobs, "jobs")
-        # Resolve eagerly: an unknown backend name must fail the campaign
-        # at construction, not deep inside a worker process.
-        get_backend(backend)
         if run_timeout_s is not None and run_timeout_s <= 0:
             raise InvalidParameterError(
                 f"run_timeout_s must be > 0 or None, got {run_timeout_s}"
@@ -353,10 +339,6 @@ class CampaignExecutor:
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.quarantine = quarantine
-        #: Engine backend every run computes under; part of the cache key
-        #: (a hit recorded under another backend would defeat the
-        #: cross-backend verification, so it is a miss by construction).
-        self.backend = backend
 
     @property
     def _hardened(self) -> bool:
@@ -386,9 +368,7 @@ class CampaignExecutor:
             entry = None
             if self.cache is not None and not self.refresh:
                 t0 = time.perf_counter()
-                entry = self.cache.get(
-                    request.experiment, request.kwargs, self.backend
-                )
+                entry = self.cache.get(request.experiment, request.kwargs)
                 load_time = time.perf_counter() - t0
             if entry is None:
                 to_compute.append(request)
@@ -403,7 +383,6 @@ class CampaignExecutor:
                 worker="cache",
                 result_digest=entry.report.digest(),
                 metrics=entry.metrics,
-                backend=self.backend,
             )
 
         raw: dict[str, dict[str, Any]] = {}
@@ -418,7 +397,6 @@ class CampaignExecutor:
                         request.experiment,
                         dict(request.kwargs),
                         self.clock,
-                        self.backend,
                     )
                     for request in to_compute
                 }
@@ -430,7 +408,6 @@ class CampaignExecutor:
                     request.experiment,
                     dict(request.kwargs),
                     self.clock,
-                    self.backend,
                 )
 
         if self.cache is None:
@@ -452,7 +429,6 @@ class CampaignExecutor:
                     report,
                     compute_time_s=result["compute_time_s"],
                     metrics=result["metrics"],
-                    backend=self.backend,
                 )
             records[request.experiment] = RunRecord(
                 experiment=request.experiment,
@@ -463,7 +439,6 @@ class CampaignExecutor:
                 worker=result["worker"],
                 result_digest=report.digest(),
                 metrics=result["metrics"],
-                backend=self.backend,
             )
 
         manifest = RunManifest(
@@ -478,7 +453,6 @@ class CampaignExecutor:
                 else {"hits": 0, "misses": 0, "stores": 0, "invalidations": 0}
             ),
             runs=[records[request.experiment] for request in requests],
-            backend=self.backend,
         )
         return CampaignOutcome(
             reports=reports, manifest=manifest, failures=failures
@@ -511,7 +485,6 @@ class CampaignExecutor:
                     timeout_s=self.run_timeout_s,
                     max_retries=self.max_retries,
                     backoff_s=self.retry_backoff_s,
-                    backend=self.backend,
                 )
             except RunQuarantinedError as exc:
                 return exc, time.perf_counter() - t0
@@ -545,7 +518,6 @@ class CampaignExecutor:
                     worker="quarantined",
                     result_digest="",
                     error="; ".join(outcome.attempts) or str(outcome),
-                    backend=self.backend,
                 )
             else:
                 raw[request.experiment] = outcome
@@ -558,13 +530,10 @@ def run_campaign_experiments(
     jobs: int = 1,
     cache: ResultCache | None = None,
     refresh: bool = False,
-    backend: str = "reference",
 ) -> CampaignOutcome:
     """Convenience wrapper: build requests for ``names`` (default: the whole
     registry, sorted) and execute them."""
     names = sorted(REGISTRY) if names is None else list(names)
     requests = build_requests(names, overrides=overrides, base_seed=base_seed)
-    executor = CampaignExecutor(
-        jobs=jobs, cache=cache, refresh=refresh, backend=backend
-    )
+    executor = CampaignExecutor(jobs=jobs, cache=cache, refresh=refresh)
     return executor.run(requests)

@@ -84,9 +84,6 @@ class RunRecord:
     #: failure description, one line per exhausted attempt.  ``None`` for
     #: successful runs.
     error: str | None = None
-    #: Engine backend the run was computed under (``"reference"`` or
-    #: ``"batch"``); cache hits carry the backend their entry was keyed on.
-    backend: str = "reference"
 
     def as_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -97,7 +94,6 @@ class RunRecord:
             "compute_time_s": round(self.compute_time_s, 6),
             "worker": self.worker,
             "result_digest": self.result_digest,
-            "backend": self.backend,
         }
         if self.metrics is not None:
             payload["metrics"] = dict(self.metrics)
@@ -117,8 +113,6 @@ class RunManifest:
     cache_stats: Mapping[str, int]
     runs: list[RunRecord] = field(default_factory=list)
     version: str = __version__
-    #: Engine backend the campaign selected (``"reference"`` by default).
-    backend: str = "reference"
 
     @property
     def serial_equivalent_s(self) -> float:
@@ -139,7 +133,6 @@ class RunManifest:
     def as_dict(self) -> dict[str, Any]:
         return {
             "version": self.version,
-            "backend": self.backend,
             "jobs": self.jobs,
             "n_runs": len(self.runs),
             "wall_time_s": round(self.wall_time_s, 6),

@@ -158,8 +158,7 @@ class SpeedupModel(abc.ABC):
 
         The dtype is pinned to ``np.float64`` (here and in every override)
         so vectorized paths match scalar ``time`` bit-for-bit regardless of
-        platform default-dtype conventions — the batch engine's digests
-        depend on it.
+        platform default-dtype conventions.
         """
         P = self._check_P(P)
         return np.fromiter(

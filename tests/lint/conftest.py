@@ -25,7 +25,6 @@ RULE_CODES = (
     "RL005",
     "RL006",
     "RL007",
-    "RL008",
     "RL012",
 )
 

@@ -18,7 +18,6 @@ class TestRegistry:
             "RL005",
             "RL006",
             "RL007",
-            "RL008",
             "RL012",
         ]
 
@@ -34,7 +33,7 @@ class TestRegistry:
     def test_ignore_filters(self):
         rules = resolve_codes(ignore=["RL006"])
         assert "RL006" not in [r.code for r in rules]
-        assert len(rules) == 8
+        assert len(rules) == 7
 
     def test_unknown_code_raises(self):
         import pytest

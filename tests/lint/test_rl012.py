@@ -20,8 +20,8 @@ class TestScoping:
     def test_fires_in_service_modules(self):
         assert codes(UNGUARDED, module="repro.service.pool") == ["RL012"]
 
-    def test_fires_in_batch_modules(self):
-        assert codes(UNGUARDED, module="repro.batch.trace") == ["RL012"]
+    def test_fires_in_service_telemetry_module(self):
+        assert codes(UNGUARDED, module="repro.service.telemetry") == ["RL012"]
 
     def test_fires_in_sim_modules(self):
         assert codes(UNGUARDED, module="repro.sim.engine") == ["RL012"]
@@ -38,7 +38,7 @@ class TestScoping:
 class TestBindingResolution:
     def test_required_emit_parameter_is_exempt(self):
         src = "def f(emit):\n    emit(1)\n"
-        assert codes(src, module="repro.batch.trace") == []
+        assert codes(src, module="repro.service.telemetry") == []
 
     def test_optional_annotation_without_default_still_flags(self):
         src = (

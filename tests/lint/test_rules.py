@@ -162,57 +162,6 @@ class TestRl007Details:
         assert lint_source(src, module="repro.obs.events").findings == []
 
 
-class TestRl008Details:
-    LOOP = "def f(task_cols: list) -> None:\n    for c in task_cols:\n        print(c)\n"
-
-    def test_fires_in_batch_modules(self):
-        report = lint_source(self.LOOP, module="repro.batch.engine")
-        assert [f.code for f in report.findings] == ["RL008"]
-
-    def test_silent_outside_batch(self):
-        assert lint_source(self.LOOP, module="repro.sim.engine").findings == []
-        assert lint_source(self.LOOP, module="repro.core.scheduler").findings == []
-
-    def test_range_len_fires_regardless_of_name(self):
-        src = "def f(xs: list) -> None:\n    for i in range(len(xs)):\n        print(i)\n"
-        report = lint_source(src, module="repro.batch.engine")
-        assert [f.code for f in report.findings] == ["RL008"]
-
-    def test_attribute_iterables_resolved(self):
-        src = (
-            "class C:\n"
-            "    def f(self) -> None:\n"
-            "        for d in self.queue_demand:\n"
-            "            print(d)\n"
-        )
-        report = lint_source(src, module="repro.batch.engine")
-        assert [f.code for f in report.findings] == ["RL008"]
-        assert "queue" in report.findings[0].message
-
-    def test_batch_axis_loops_not_flagged(self):
-        src = "def f(reports: list) -> None:\n    for r in reports:\n        print(r)\n"
-        assert lint_source(src, module="repro.batch.adapter").findings == []
-
-    def test_line_suppression_honored(self):
-        src = (
-            "def f(task_cols: list) -> None:\n"
-            "    for c in task_cols:  # repro-lint: disable=RL008 -- boundary\n"
-            "        print(c)\n"
-        )
-        assert lint_source(src, module="repro.batch.adapter").findings == []
-
-    def test_counts_every_loop(self):
-        report = lint_fixture("rl008_bad.txt")
-        assert len(report.findings) == 3
-
-    @pytest.mark.parametrize("module", ["repro.batch.kernels", "repro.batch.engine"])
-    def test_decorated_loop_bodies_are_not_exempt(self, module):
-        # No decorator and no module exempts a per-task loop: both the
-        # decorated and the undecorated loop fire everywhere in the backend.
-        report = lint_fixture("rl008_kernels.txt", module=module)
-        assert len(report.findings) == 2
-
-
 class TestSemanticFixtures:
     """RL009-RL010 run as single-file projects over their fixtures."""
 

@@ -67,6 +67,19 @@ class TestVersioning:
         assert a != b
 
 
+class TestKeyFormat:
+    def test_reference_key_format_is_unchanged(self, tmp_path):
+        # Literal keys, so caches written by earlier releases stay
+        # addressable: any change to the key payload breaks this pin.
+        cache = ResultCache(tmp_path / "cache", version="1.0.0")
+        assert cache.key_for("demo", {"P": 16}) == (
+            "d3edbf44b704546fcdab6f0bb6c82398e348207f10d8de7e83b5067ef2fcdd85"
+        )
+        assert cache.key_for("table1", {}) == (
+            "8eecb531910777ffcc96b43936888644b8e577ded745d62cc21fe89cff692f74"
+        )
+
+
 class TestCorruption:
     def put_one(self, cache):
         key = cache.put("demo", {"P": 16}, REPORT, compute_time_s=0.1)

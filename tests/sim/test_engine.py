@@ -136,6 +136,24 @@ class TestSimultaneousEvents:
         assert result.schedule["z"].start == pytest.approx(4.0)
         assert result.schedule["z"].procs == 4
 
+    def test_simultaneous_reveals_follow_insertion_order(self):
+        """Successors revealed at one instant queue in graph insertion
+        order, not in the order the edges were added."""
+        g = TaskGraph()
+        model = RooflineModel(8.0, 2)
+        for i in range(6):
+            g.add_task(("src", i), model)
+        for j in range(6):
+            g.add_task(("dst", j), model)
+        for i in range(6):
+            for j in range(6):
+                g.add_edge(("src", i), ("dst", 5 - j))
+        result = ListScheduler(6, MaxUsefulAllocator()).run(g)
+        dst = [("dst", j) for j in range(6)]
+        assert all(result.revealed_at[t] == pytest.approx(8.0) for t in dst)
+        starts = [result.schedule[t].start for t in dst]
+        assert starts == pytest.approx([8.0, 8.0, 8.0, 12.0, 12.0, 12.0])
+
     def test_validates_on_all_workloads(self, small_graph):
         for P in (1, 2, 5, 32):
             result = ListScheduler(P, MaxUsefulAllocator()).run(small_graph)

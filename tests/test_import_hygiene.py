@@ -20,7 +20,6 @@ MODULES = [
     "repro.experiments",
     "repro.service",
     "repro.lint",
-    "repro.batch",
     "repro.runtime",
     "repro.obs",
 ]
