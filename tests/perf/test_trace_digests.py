@@ -1,10 +1,12 @@
 """The reference engine's traced event stream is pinned.
 
-Twenty deterministic scenarios live in ``golden_trace_digests.json``,
-one :func:`repro.obs.export.trace_digest` per scenario over the
-canonical JSONL serialization of every event the run emits.  A digest
-match means the engine emitted the same events, with the same payloads,
-in the same order — reveal order for simultaneous completions included.
+Deterministic scenarios live in ``golden_trace_digests.json``, one
+:func:`repro.obs.export.trace_digest` per scenario over the canonical
+JSONL serialization of every event the run emits.  A digest match means
+the engine emitted the same events, with the same payloads, in the same
+order — reveal order for simultaneous completions included.  Twenty
+scenarios run fault-free; the ``faults_*`` ones inject processor faults
+and pin the resilient loop's kills, retries, re-caps and capacity moves.
 Regenerate with ``PYTHONPATH=src python tests/perf/test_trace_digests.py``
 only for a deliberate change to the event stream, and say why.
 """
@@ -14,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.online import AvailableProcessorsAllocator
 from repro.core.allocator import LpaAllocator
+from repro.core.priorities import largest_work_first
 from repro.graph import TaskGraph
 from repro.graph.generators import (
     chain,
@@ -25,7 +29,9 @@ from repro.graph.generators import (
 )
 from repro.obs.events import CollectingTracer
 from repro.obs.export import trace_digest
-from repro.sim import ListScheduler, StaticGraphSource
+from repro.resilience.faults import BurstFaultModel, ExponentialFaultModel, FaultTrace
+from repro.resilience.retry import RetryPolicy
+from repro.sim import ListScheduler, ReleasedTaskSource, StaticGraphSource
 from repro.speedup import (
     AmdahlModel,
     CallableModel,
@@ -148,13 +154,89 @@ SCENARIOS = {
 }
 
 
-def reference_events(items, mu=MU):
-    """Trace every run on the reference engine through one allocator."""
+def _faulty_layered(family, seed, P, faults, retry):
+    factory = RandomModelFactory(family=family, seed=seed)
+    graph = layered_random(4, 6, factory, edge_probability=0.35, seed=seed)
+    return [(graph, P, faults, retry)]
+
+
+def _faults_timed_release():
+    factory = RandomModelFactory(family="roofline", seed=71)
+    releases = [(0.7 * i, f"r{i}", factory()) for i in range(14)]
+    trace = FaultTrace(
+        [(1.5, "fail", 0), (2.5, "fail", 5), (4.0, "recover", 0), (9.0, "recover", 5)]
+    )
+    return [(ReleasedTaskSource(releases), 8, trace, RetryPolicy(backoff_base=0.3))]
+
+
+#: Fault-injected scenarios: items are ``(graph or source, P, faults,
+#: retry)``.  Together they cover backoff, checkpointed retries, a
+#: priority queue, faults at t = 0, a total blackout, timed releases and
+#: an allocator whose decisions depend on the free count.
+FAULT_SCENARIOS = {
+    "faults_backoff": lambda: _faulty_layered(
+        "communication", 81, 12,
+        ExponentialFaultModel(6.0, mttr=2.0, horizon=60.0, seed=81),
+        RetryPolicy(backoff_base=0.25, backoff_factor=3.0, backoff_cap=2.0),
+    ),
+    "faults_checkpoint": lambda: _faulty_layered(
+        "amdahl", 83, 10,
+        ExponentialFaultModel(5.0, mttr=1.5, horizon=60.0, seed=83),
+        RetryPolicy(checkpoint=True),
+    ),
+    "faults_priority": lambda: _faulty_layered(
+        "general", 85, 9,
+        ExponentialFaultModel(7.0, mttr=3.0, horizon=60.0, seed=85),
+        RetryPolicy(max_attempts=50, backoff_base=0.1),
+    ),
+    "faults_at_time_zero": lambda: _faulty_layered(
+        "roofline", 87, 8,
+        FaultTrace(
+            [(0.0, "fail", 1), (0.0, "fail", 4), (0.0, "fail", 6), (1.0, "fail", 0),
+             (3.0, "recover", 4), (5.0, "recover", 0), (7.0, "recover", 1)]
+        ),
+        None,
+    ),
+    "faults_blackout": lambda: _faulty_layered(
+        "communication", 89, 6,
+        BurstFaultModel([2.0, 12.0], fraction=1.0, downtime=4.0),
+        RetryPolicy(backoff_base=0.5),
+    ),
+    "faults_timed_release": _faults_timed_release,
+    "faults_grab_free": lambda: _faulty_layered(
+        "general", 91, 10,
+        ExponentialFaultModel(4.0, mttr=2.0, horizon=60.0, seed=91),
+        RetryPolicy(),
+    ),
+}
+SCENARIOS.update(FAULT_SCENARIOS)
+
+#: Scheduler options of the scenarios that do not run the defaults.
+SCENARIO_OPTIONS = {
+    "faults_priority": {"priority": largest_work_first()},
+    "faults_grab_free": {"allocator": AvailableProcessorsAllocator()},
+}
+
+
+def reference_events(items, mu=MU, *, allocator=None, priority=None):
+    """Trace every run on the reference engine through one allocator.
+
+    An item is ``(graph, P)`` or ``(graph or source, P, faults, retry)``.
+    """
     tracer = CollectingTracer()
-    allocator = LpaAllocator(mu)
-    for graph, P in items:
-        ListScheduler(P, allocator).run(StaticGraphSource(graph), tracer=tracer)
+    if allocator is None:
+        allocator = LpaAllocator(mu)
+    for graph, P, *resilience in items:
+        faults, retry = resilience or (None, None)
+        source = StaticGraphSource(graph) if isinstance(graph, TaskGraph) else graph
+        ListScheduler(P, allocator, priority=priority).run(
+            source, faults=faults, retry=retry, tracer=tracer
+        )
     return tracer.events
+
+
+def scenario_events(name):
+    return reference_events(SCENARIOS[name](), **SCENARIO_OPTIONS.get(name, {}))
 
 
 @pytest.fixture(scope="module")
@@ -165,19 +247,22 @@ def golden():
 class TestGoldenDigests:
     def test_every_scenario_is_pinned(self, golden):
         assert sorted(golden) == sorted(SCENARIOS)
-        assert len(SCENARIOS) == 20
+        assert len(SCENARIOS) == 20 + len(FAULT_SCENARIOS)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_reference_matches_golden(self, name, golden):
-        digest = trace_digest(reference_events(SCENARIOS[name]()))
+        digest = trace_digest(scenario_events(name))
         assert digest == golden[name], f"reference trace drifted for {name!r}"
+
+    @pytest.mark.parametrize("name", sorted(FAULT_SCENARIOS))
+    def test_fault_scenario_kills_and_retries(self, name):
+        events = scenario_events(name)
+        kinds = [type(e).__name__ for e in events]
+        assert "FaultInjected" in kinds and "RetryScheduled" in kinds, name
 
 
 def _regenerate() -> None:
-    digests = {
-        name: trace_digest(reference_events(build()))
-        for name, build in sorted(SCENARIOS.items())
-    }
+    digests = {name: trace_digest(scenario_events(name)) for name in sorted(SCENARIOS)}
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN_PATH}")
 

@@ -12,7 +12,10 @@ from repro.service.config import ServiceConfig, TenantQuota
 from repro.service.core import ServiceCore
 from repro.service.journal import read_journal
 from repro.service.protocol import Hello, Submit
-from repro.speedup import AmdahlModel
+from repro.speedup import AmdahlModel, RooflineModel
+
+#: ``state_digest()`` of :func:`pinned_lifecycle`, live and recovered.
+LIFECYCLE_DIGEST = "f8efff4f3c8b35e53baaa413ed742aa6c58b64fc141ec7b34b9c043155f1616f"
 
 
 def submit_n(core, tenant, count, prefix="t"):
@@ -221,6 +224,51 @@ class TestJournalDiscipline:
         recovered.close_journal()
         second = ServiceCore.recover(journal, reopen=False)
         assert second.state_digest() == digest
+
+
+def pinned_lifecycle(path):
+    """Quota, cancel, deadline eviction and RETRY_EXHAUSTED in one journal."""
+    config = ServiceConfig(P=6, family="amdahl", fault_max_attempts=2, fault_backoff=0.5)
+    core = ServiceCore(config, journal_path=path)
+    core.hello(Hello(tenant="quota", max_running_procs=2))
+    core.hello(Hello(tenant="late", deadline=3.0))
+    core.hello(Hello(tenant="gone"))
+    core.hello(Hello(tenant="fragile"))
+    for i in range(4):
+        deps = (f"q{i - 1}",) if i % 2 else ()
+        core.submit("quota", Submit(task=f"q{i}", model=AmdahlModel(6.0 + i, 0.5), deps=deps))
+    core.submit("late", Submit(task="l0", model=AmdahlModel(20.0, 1.0)))
+    core.submit("late", Submit(task="l1", model=AmdahlModel(5.0, 1.0), deps=("l0",)))
+    core.submit("gone", Submit(task="g0", model=RooflineModel(9.0, 3)))
+    core.submit("fragile", Submit(task="f0", model=RooflineModel(30.0, 2)))
+    for tenant in ("quota", "late", "fragile"):
+        core.close(tenant)
+    core.tick(2)
+    core.cancel("gone")
+    owner = core.pool.state_dict()["owner"]
+    victim = next(int(q) for q, (tenant, _) in owner.items() if tenant == "fragile")
+    core.fault("fail", victim)
+    core.tick(3)
+    core.fault("recover", victim)
+    owner = core.pool.state_dict()["owner"]
+    victim = next(int(q) for q, (tenant, _) in owner.items() if tenant == "fragile")
+    core.fault("fail", victim)
+    core.drain()
+    return core
+
+
+class TestPinnedLifecycle:
+    def test_live_and_recovered_digests_are_pinned(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        core = pinned_lifecycle(path)
+        runs = core.pool.tenants
+        assert runs["quota"].status == "finished"
+        assert (runs["late"].status, runs["late"].reason) == ("cancelled", "DEADLINE_EXCEEDED")
+        assert (runs["gone"].status, runs["gone"].reason) == ("cancelled", "CANCELLED")
+        assert (runs["fragile"].status, runs["fragile"].reason) == ("cancelled", "RETRY_EXHAUSTED")
+        assert core.state_digest() == LIFECYCLE_DIGEST
+        core.close_journal()
+        assert ServiceCore.recover(path, reopen=False).state_digest() == LIFECYCLE_DIGEST
 
 
 class TestStatus:
