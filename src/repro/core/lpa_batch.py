@@ -1,6 +1,6 @@
 """Vectorized Algorithm-2 allocation across Equation (1) model groups.
 
-Both engines resolve allocations once per ``(cache_key, P)`` group, and
+The engine resolves allocations once per ``(cache_key, P)`` group, and
 a scalar :meth:`~repro.core.allocator.LpaAllocator.allocate` costs two
 binary searches querying ``model.time`` point by point.
 :meth:`~repro.sim.allocation.Allocator.prefetch` instead hands every

@@ -348,7 +348,7 @@ async def run_chaos_async(
         run = core.pool.tenants[tenant]
         if run.active and run.status == "open":
             core.cancel(tenant, reason="CHAOS_SETTLEMENT")
-    for proc in sorted(core.pool.down):
+    for proc in sorted(core.pool.machine.down):
         core.fault("recover", proc)
     core.drain()
     core.pool.check_conservation()

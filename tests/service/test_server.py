@@ -101,7 +101,7 @@ class TestRobustness:
                     if run_state is not None and not run_state.active:
                         break
                 assert not server.core.pool.tenants["ghost"].active
-                assert len(server.core.pool.free_set) == 4
+                assert len(server.core.pool.machine.free) == 4
             finally:
                 await server.stop()
 
